@@ -2,17 +2,14 @@
 //
 // Runs two workload shapes — the fig6b-style multi-org fan-out and the
 // fig7-style high arrival rate from bench/perf_hotpath — at 1/2/4/8 worker
-// threads, each both with the intra-org commit pipeline on (default) and off
-// (`perf::PipelineEnabled`), cross-checks that every run's *simulated*
-// results are bit-identical to the single-threaded pipeline-on run (events
-// processed, commit counts, throughput, exact latency statistics), and
-// reports wall-clock speedup per thread count plus the pipeline's host
-// events/s gain. Emits BENCH_parallel.json.
+// threads, cross-checks that every run's *simulated* results are
+// bit-identical to the single-threaded run (events processed, commit counts,
+// throughput, exact latency statistics), and reports wall-clock speedup per
+// thread count. Emits BENCH_parallel.json.
 //
-// Exit code 1 = a determinism cross-check failed (across thread counts OR
-// pipeline on vs off). Low speedup is reported, not fatal: scaling needs
-// real cores (single-core containers time-slice the pool), and CI evaluates
-// the numbers it uploads.
+// Exit code 1 = a determinism cross-check failed. Low speedup is reported,
+// not fatal: scaling needs real cores (single-core containers time-slice the
+// pool), and CI evaluates the numbers it uploads.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/perf.h"
 #include "obs/json.h"
 
 namespace {
@@ -62,8 +58,7 @@ struct TimedRun {
   harness::ExperimentResult result;
 };
 
-TimedRun Run(ExperimentConfig config, unsigned threads, bool pipeline) {
-  perf::ScopedPipeline scoped(pipeline);
+TimedRun Run(ExperimentConfig config, unsigned threads) {
   config.threads = threads;
   const auto start = std::chrono::steady_clock::now();
   TimedRun run;
@@ -74,13 +69,11 @@ TimedRun Run(ExperimentConfig config, unsigned threads, bool pipeline) {
   return run;
 }
 
-/// Exact equality on everything the simulation decides; the thread count and
-/// the pipeline toggle may only change how fast the host reaches the same
-/// place.
+/// Exact equality on everything the simulation decides; the thread count may
+/// only change how fast the host reaches the same place.
 bool SimulatedIdentical(const harness::ExperimentResult& a,
                         const harness::ExperimentResult& b,
-                        const std::string& workload, unsigned threads,
-                        const char* label) {
+                        const std::string& workload, unsigned threads) {
   struct Check {
     const char* what;
     double a, b;
@@ -108,9 +101,9 @@ bool SimulatedIdentical(const harness::ExperimentResult& a,
   bool ok = true;
   for (const Check& c : checks) {
     if (c.a != c.b) {
-      std::printf("DETERMINISM FAIL [%s] threads=%u %s %s: %.17g vs %.17g "
+      std::printf("DETERMINISM FAIL [%s] threads=%u %s: %.17g vs %.17g "
                   "at 1 thread\n",
-                  workload.c_str(), threads, label, c.what, c.b, c.a);
+                  workload.c_str(), threads, c.what, c.b, c.a);
       ok = false;
     }
   }
@@ -122,9 +115,8 @@ bool SimulatedIdentical(const harness::ExperimentResult& a,
 int main() {
   PrintBanner("Parallel engine — thread scaling, bit-identical results",
               "fig6b/fig7-style workloads at 1/2/4/8 simulation worker "
-              "threads, commit pipeline on and off. Every run must produce "
-              "the single-threaded run's exact simulated results; only wall "
-              "time may differ.");
+              "threads. Every run must produce the single-threaded run's "
+              "exact simulated results; only wall time may differ.");
 
   const unsigned threads_sweep[] = {1, 2, 4, 8};
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -132,26 +124,20 @@ int main() {
 
   JsonBench json("parallel");
   TablePrinter table({"workload", "threads", "wall(ms)", "events/s",
-                      "speedup", "no-pipe(ms)", "pipe-gain"});
+                      "speedup"});
   bool deterministic = true;
   double fig6b_speedup_at_4 = 0;
-  double fig6b_pipeline_gain_at_8 = 0;
 
   for (const Workload& w : Workloads()) {
     TimedRun baseline;
     for (unsigned threads : threads_sweep) {
-      const TimedRun run = Run(w.config, threads, /*pipeline=*/true);
-      const TimedRun off = Run(w.config, threads, /*pipeline=*/false);
+      const TimedRun run = Run(w.config, threads);
       if (threads == 1) {
         baseline = run;
       } else {
-        deterministic &= SimulatedIdentical(baseline.result, run.result,
-                                            w.name, threads, "pipeline-on");
+        deterministic &=
+            SimulatedIdentical(baseline.result, run.result, w.name, threads);
       }
-      // The pipeline-off run must land in exactly the same simulated place
-      // too — the escape hatch is outcome-neutral at every thread count.
-      deterministic &= SimulatedIdentical(baseline.result, off.result, w.name,
-                                          threads, "pipeline-off");
       const double speedup =
           threads == 1 || run.wall_ms <= 0 ? 1.0
                                            : baseline.wall_ms / run.wall_ms;
@@ -162,35 +148,19 @@ int main() {
           run.wall_ms <= 0
               ? 0
               : run.result.events_processed / (run.wall_ms / 1e3);
-      const double events_per_sec_off =
-          off.wall_ms <= 0
-              ? 0
-              : off.result.events_processed / (off.wall_ms / 1e3);
-      // Host events/s with the pipeline vs without, same thread count — the
-      // tentpole deliverable at 8 threads on the fig6b shape.
-      const double pipeline_gain =
-          events_per_sec_off <= 0 ? 1.0 : events_per_sec / events_per_sec_off;
-      if (w.name == "fig6b_multi_org" && threads == 8) {
-        fig6b_pipeline_gain_at_8 = pipeline_gain;
-      }
       json.Point(w.name);
       json.Field("threads", static_cast<std::uint64_t>(threads));
       json.Field("wall_ms", run.wall_ms, 2);
-      json.Field("wall_ms_no_pipeline", off.wall_ms, 2);
       json.Field("events_per_sec", events_per_sec, 0);
-      json.Field("events_per_sec_no_pipeline", events_per_sec_off, 0);
       json.Field("events_processed", run.result.events_processed);
       json.Field("committed",
                  run.result.metrics.committed_modify +
                      run.result.metrics.committed_read);
       json.Field("speedup", speedup, 3);
-      json.Field("pipeline_gain", pipeline_gain, 3);
       table.AddRow({w.name, std::to_string(threads),
                     TablePrinter::Num(run.wall_ms, 1),
                     TablePrinter::Num(events_per_sec, 0),
-                    TablePrinter::Num(speedup, 2) + "x",
-                    TablePrinter::Num(off.wall_ms, 1),
-                    TablePrinter::Num(pipeline_gain, 2) + "x"});
+                    TablePrinter::Num(speedup, 2) + "x"});
     }
   }
   table.Print();
@@ -198,13 +168,11 @@ int main() {
   json.Scalar("deterministic", deterministic ? "true" : "false");
   json.Scalar("hardware_threads", static_cast<std::uint64_t>(hardware));
   json.Scalar("fig6b_speedup_at_4_threads", fig6b_speedup_at_4, 3);
-  json.Scalar("fig6b_pipeline_gain_at_8_threads", fig6b_pipeline_gain_at_8,
-              3);
   json.Write();
 
-  std::printf("\nfig6b-style speedup at 4 threads: %.2fx — pipeline gain at "
-              "8 threads: %.2fx — simulated results %s\n",
-              fig6b_speedup_at_4, fig6b_pipeline_gain_at_8,
+  std::printf("\nfig6b-style speedup at 4 threads: %.2fx — simulated results "
+              "%s\n",
+              fig6b_speedup_at_4,
               deterministic ? "bit-identical" : "DIVERGED");
   return deterministic ? 0 : 1;
 }

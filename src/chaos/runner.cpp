@@ -6,7 +6,6 @@
 
 #include "codec/codec.h"
 #include "contracts/auction.h"
-#include "core/perf.h"
 #include "contracts/filestore.h"
 #include "contracts/voting.h"
 #include "crypto/sha256.h"
@@ -249,10 +248,6 @@ ChaosRunResult RunScenario(const Scenario& scenario) {
 
 ChaosRunResult RunScenario(const Scenario& scenario,
                            const RunOptions& options) {
-  // Host-side caches on or off, the simulated run must be bit-identical;
-  // the scope restores the process-wide switch on every exit path.
-  core::perf::ScopedMemo memo_scope(options.memoize);
-
   harness::OrderlessNetConfig config;
   config.num_orgs = scenario.num_orgs;
   config.num_clients = scenario.num_clients;

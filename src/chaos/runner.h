@@ -56,10 +56,6 @@ struct ChaosRunResult {
 
 /// Host-side execution knobs that must never change a run's outcome.
 struct RunOptions {
-  /// False disables the encode-once/hash-once caches and validation memo for
-  /// the duration of the run (core::perf::ScopedMemo). The determinism test
-  /// replays the same scenario both ways and asserts equal fingerprints.
-  bool memoize = true;
   /// Optional observability hook (not owned). Recording is append-only and
   /// outcome-neutral: the determinism test replays the same scenario traced
   /// and untraced and asserts equal fingerprints and chain heads.

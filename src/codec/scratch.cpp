@@ -4,8 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/perf.h"
-
 namespace orderless::codec {
 
 namespace {
@@ -51,11 +49,7 @@ thread_local std::vector<std::unique_ptr<Writer>> t_pool;
 constexpr std::size_t kMaxPooled = 8;
 }  // namespace
 
-ScratchWriter::ScratchWriter() : pooled_(orderless::perf::ArenaEnabled()) {
-  if (!pooled_) {
-    writer_ = &local_;
-    return;
-  }
+ScratchWriter::ScratchWriter() {
   const bool count = CountScratchPool();
   if (count) g_pool_counts.acquires.fetch_add(1, std::memory_order_relaxed);
   if (t_pool.empty()) {
@@ -72,7 +66,6 @@ ScratchWriter::ScratchWriter() : pooled_(orderless::perf::ArenaEnabled()) {
 }
 
 ScratchWriter::~ScratchWriter() {
-  if (!pooled_) return;
   if (t_pool.size() < kMaxPooled) {
     t_pool.emplace_back(writer_);
   } else {

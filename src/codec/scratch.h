@@ -4,12 +4,11 @@
 // each used to construct a fresh Writer, paying one heap allocation per
 // use. A ScratchWriter borrows from a thread-local pool instead: released
 // Writers keep their buffer capacity (Writer::Clear()), so steady-state
-// encodes run malloc-free. With the arena perf toggle off it degrades to an
-// owned local Writer, restoring the legacy allocation profile exactly —
-// encoded bytes are identical either way.
+// encodes run malloc-free. Which pool a Writer came from never influences
+// the encoded bytes.
 //
-// Scope rule mirrors the epoch arena: never hold a ScratchWriter (or a view
-// of its buffer) across an event boundary; copy bytes out before returning.
+// Scope rule: never hold a ScratchWriter (or a view of its buffer) across an
+// event boundary; copy bytes out before returning.
 #pragma once
 
 #include "codec/codec.h"
@@ -29,8 +28,6 @@ class ScratchWriter {
 
  private:
   Writer* writer_;
-  Writer local_;  // used when pooling is toggled off
-  bool pooled_;
 };
 
 /// Pool occupancy for the current thread (tests/diagnostics).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "codec/scratch.h"
-#include "core/perf.h"
 #include "obs/trace.h"
 
 namespace orderless::core {
@@ -269,7 +267,6 @@ void Client::ArmTimeout(Pending& p, sim::SimTime delay) {
 void Client::StartEndorsePhase(Pending& p) {
   p.phase = Phase::kEndorse;
   p.groups.clear();
-  p.last_ops_encoding.clear();
   p.replied.clear();
   p.busy_retry_hint = 0;
   p.chosen = PickOrgs(p);
@@ -280,7 +277,7 @@ void Client::StartEndorsePhase(Pending& p) {
   (void)p.proposal.Digest();
   const bool mutate_per_org =
       byzantine_.active && byzantine_.inconsistent_clocks;
-  if (perf::ArenaEnabled() && !mutate_per_org) {
+  if (!mutate_per_org) {
     // Honest proposals are identical for every organization: one immutable
     // message fans out to all q sends. The digest cache is warm, so the
     // receiving lanes only ever read the shared proposal.
@@ -299,14 +296,12 @@ void Client::StartEndorsePhase(Pending& p) {
     return;
   }
   for (std::size_t i = 0; i < p.chosen.size(); ++i) {
+    // Byzantine fault (3): different logical timestamps per organization;
+    // the endorsements cannot match and no valid transaction forms. The
+    // in-place mutation voids the copied digest cache.
     Proposal proposal = p.proposal;
-    if (mutate_per_org) {
-      // Byzantine fault (3): different logical timestamps per organization;
-      // the endorsements cannot match and no valid transaction forms. The
-      // in-place mutation voids the copied digest cache.
-      proposal.clock.counter += i;
-      proposal.InvalidateCache();
-    }
+    proposal.clock.counter += i;
+    proposal.InvalidateCache();
     route_[proposal.Digest()] = p.seq;
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Instant(obs::EventKind::kProposalSend, simulation_.now(), node_,
@@ -380,42 +375,22 @@ void Client::HandleEndorseReply(sim::NodeId from, const EndorseReplyMsg& msg) {
         return;
       }
     } else {
-      // Hash-once per distinct write-set: encode the ops (cheap) and only
-      // re-hash when the bytes differ from the previous reply's. A Byzantine
-      // org's divergent write-set differs in its encoding, so it can never
-      // inherit the honest digest.
+      // Hash once per distinct write-set. The canonical encoding is
+      // injective, so comparing ops vectors directly is equivalent to
+      // comparing encoded bytes: the all-honest case groups q replies with
+      // q-1 vector compares (no allocation) and a single encode+hash for the
+      // first reply. A Byzantine org's divergent write-set never matches an
+      // honest group, so it can never inherit the honest digest.
       crypto::Digest ws;
       bool have_ws = false;
-      if (perf::ArenaEnabled()) {
-        // The canonical encoding is injective, so comparing ops vectors
-        // directly is equivalent to comparing encoded bytes: the all-honest
-        // case groups q replies with q-1 vector compares (no allocation)
-        // and a single encode+hash for the first reply.
-        for (const auto& [digest, existing] : p.groups) {
-          if (existing.ops == msg.ops) {
-            ws = digest;
-            have_ws = true;
-            break;
-          }
+      for (const auto& [digest, existing] : p.groups) {
+        if (existing.ops == msg.ops) {
+          ws = digest;
+          have_ws = true;
+          break;
         }
       }
-      if (!have_ws) {
-        if (perf::MemoEnabled()) {
-          codec::ScratchWriter w;
-          w->Reserve(16 + msg.ops.size() * 64);
-          crdt::EncodeOperations(msg.ops, *w);
-          if (!p.last_ops_encoding.empty() &&
-              w->data() == p.last_ops_encoding) {
-            ws = p.last_ops_digest;
-          } else {
-            ws = crypto::Sha256::Hash(BytesView(w->data()));
-            p.last_ops_encoding = w->Take();
-            p.last_ops_digest = ws;
-          }
-        } else {
-          ws = WriteSetDigest(msg.ops);
-        }
-      }
+      if (!have_ws) ws = WriteSetDigest(msg.ops);
       auto& group = p.groups[ws];
       if (group.ops.empty()) group.ops = msg.ops;
       group.endorsements.push_back(msg.endorsement);
@@ -525,25 +500,18 @@ void Client::StartCommitPhase(Pending& p, Pending::WsGroup group) {
 
 void Client::SendCommits(Pending& p) {
   // One immutable message serves every commit target (receivers only read);
-  // the simulated wire cost is still charged per link. Legacy keeps per-org
-  // copies so the A/B baseline reflects the old allocation profile.
+  // the simulated wire cost is still charged per link.
   std::shared_ptr<CommitMsg> shared;
   for (std::size_t idx : p.commit_targets) {
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Instant(obs::EventKind::kCommitSend, simulation_.now(), node_,
                  p.tx->id.Prefix64(), org_nodes_[idx]);
     }
-    if (perf::ArenaEnabled()) {
-      if (!shared) {
-        shared = std::make_shared<CommitMsg>();
-        shared->tx = p.tx;
-      }
-      network_.Send(node_, org_nodes_[idx], shared);
-    } else {
-      auto msg = std::make_shared<CommitMsg>();
-      msg->tx = p.tx;
-      network_.Send(node_, org_nodes_[idx], msg);
+    if (!shared) {
+      shared = std::make_shared<CommitMsg>();
+      shared->tx = p.tx;
     }
+    network_.Send(node_, org_nodes_[idx], shared);
   }
   ArmTimeout(p, timing_.commit_timeout);
 }

@@ -143,12 +143,6 @@ class Client {
       std::vector<std::size_t> orgs;
     };
     std::map<crypto::Digest, WsGroup> groups;
-    // Host-side hash-once cache: honest endorsers return byte-identical
-    // write-sets, so the q-th..n-th replies reuse the digest of the first
-    // instead of re-hashing (exact byte comparison guards the reuse; see
-    // core/perf.h). Reset with `groups` at the start of each attempt.
-    Bytes last_ops_encoding;
-    crypto::Digest last_ops_digest;
     std::set<std::size_t> replied;
     crdt::Value read_value;
     bool read_value_set = false;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "core/perf.h"
-#include "core/pipeline.h"
 #include "core/validation_cache.h"
 #include "crdt/object.h"
 #include "obs/trace.h"
@@ -30,7 +28,8 @@ Organization::Organization(sim::Simulation& simulation, sim::Network& network,
                            const crypto::Pki& pki,
                            const ContractRegistry& contracts,
                            EndorsementPolicy policy, OrgTimingConfig timing,
-                           Rng rng, std::shared_ptr<ledger::KvStore> store)
+                           VerdictTable& verdicts, Rng rng,
+                           std::shared_ptr<ledger::KvStore> store)
     : simulation_(simulation),
       network_(network),
       node_(node),
@@ -39,6 +38,7 @@ Organization::Organization(sim::Simulation& simulation, sim::Network& network,
       contracts_(contracts),
       policy_(policy),
       timing_(timing),
+      verdicts_(verdicts),
       rng_(rng),
       cpu_(simulation, timing.cores),
       cache_lock_(simulation, 1),
@@ -80,10 +80,8 @@ void Organization::Stop() {
   running_ = false;
   network_.Unregister(node_);
   // Queued FinishCommit events become no-ops, so admission records would
-  // leak and mark unrelated later transactions conflicting; a crash empties
-  // the in-flight set either way.
-  pipe_pending_.clear();
-  pipe_object_refs_.clear();
+  // leak; a crash empties the in-flight set either way.
+  admitted_.clear();
 }
 
 bool Organization::RecoverFromLedger() {
@@ -196,12 +194,15 @@ bool Organization::RecoverFromLedger() {
   // Reload committed bodies so gossip pulls and anti-entropy syncs keep
   // working for transactions committed before the crash. Behind a sealed
   // frontier the bodies were pruned, so this reloads exactly the delta.
+  // Sync replies share these objects with every requesting peer, whose lanes
+  // validate them concurrently: seal them while this org is the only holder.
   committed_txs_.clear();
   if (timing_.antientropy_interval > 0) {
     ledger_.ScanTransactionBodies([this](BytesView encoded) {
       codec::Reader r(encoded);
       auto tx = Transaction::Decode(r);
       if (tx && commit_index_.contains(tx->id)) {
+        tx->Seal();
         committed_txs_.push_back(std::move(tx));
       }
     });
@@ -480,22 +481,14 @@ void Organization::HandleProposal(sim::NodeId from,
     }
   }
 
-  if (perf::ArenaEnabled()) {
-    // The 16-byte shared_ptr capture fits the closure's inline buffer and
-    // borrows the delivered message — no Proposal deep copies. The sender
-    // warms the proposal's digest cache before the send, so even a message
-    // fanned out to several organizations is only ever read here.
-    cpu_.Submit(exec_service,
-                sim::TriviallyRelocatable{[this, from, msg, arrival] {
-                  ExecuteProposal(from, msg->proposal, arrival);
-                }});
-  } else {
-    // Legacy allocation profile for the A/B: copy into the closure.
-    const Proposal copy = proposal;
-    cpu_.Submit(exec_service, [this, from, copy, arrival] {
-      ExecuteProposal(from, copy, arrival);
-    });
-  }
+  // The 16-byte shared_ptr capture fits the closure's inline buffer and
+  // borrows the delivered message — no Proposal deep copies. The sender
+  // warms the proposal's digest cache before the send, so even a message
+  // fanned out to several organizations is only ever read here.
+  cpu_.Submit(exec_service,
+              sim::TriviallyRelocatable{[this, from, msg, arrival] {
+                ExecuteProposal(from, msg->proposal, arrival);
+              }});
 }
 
 void Organization::ExecuteProposal(sim::NodeId from, const Proposal& proposal,
@@ -573,55 +566,6 @@ void Organization::ExecuteProposal(sim::NodeId from, const Proposal& proposal,
   network_.Send(node_, from, reply);
 }
 
-void Organization::PipeAdmit(const std::shared_ptr<const Transaction>& tx) {
-  // One admission record per id: re-sent or gossiped copies of an id
-  // already committed, or already in flight, change nothing (the dedup
-  // stage answers them from the indexes).
-  if (commit_index_.find(tx->id) != commit_index_.end()) return;
-  if (pipe_pending_.find(tx->id) != pipe_pending_.end()) return;
-  std::vector<std::uint64_t> objects;
-  objects.reserve(tx->ops.size());
-  bool independent = true;
-  for (const auto& op : tx->ops) {
-    // FNV-1a 64 of the object id; collisions only ever demote an
-    // independent pair to conflicting (conservative).
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : op.object_id) {
-      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    }
-    if (pipe_object_refs_.find(h) != pipe_object_refs_.end()) {
-      independent = false;
-    }
-    objects.push_back(h);
-  }
-  for (const std::uint64_t h : objects) ++pipe_object_refs_[h];
-  if (obs::Tracer* t = simulation_.tracer()) {
-    t->Instant(obs::EventKind::kPipeAdmit, simulation_.now(), node_,
-               tx->id.Prefix64(), independent ? 1 : 0);
-  }
-  pipe_pending_.emplace(tx->id, std::move(objects));
-  // Only independent commits are eligible for out-of-order host
-  // verification; conflicting ones stay on this lane in canonical event
-  // order. The hub also needs the sealed digest caches (memo on) for
-  // thief-thread reads, and only exists in parallel runs.
-  if (independent && perf::PipelineEnabled() && perf::MemoEnabled() &&
-      timing_.commit_pipeline) {
-    timing_.commit_pipeline->Publish(tx);
-  }
-}
-
-void Organization::PipeFinish(const crypto::Digest& id) {
-  const auto it = pipe_pending_.find(id);
-  if (it == pipe_pending_.end()) return;
-  for (const std::uint64_t h : it->second) {
-    const auto ref = pipe_object_refs_.find(h);
-    if (ref != pipe_object_refs_.end() && --ref->second == 0) {
-      pipe_object_refs_.erase(ref);
-    }
-  }
-  pipe_pending_.erase(it);
-}
-
 void Organization::HandleCommit(sim::NodeId from,
                                 std::shared_ptr<const Transaction> tx,
                                 bool from_gossip) {
@@ -654,7 +598,16 @@ void Organization::HandleCommit(sim::NodeId from,
     }
   }
   const sim::SimTime arrival = simulation_.now();
-  PipeAdmit(tx);
+  // Admission is traced once per id: re-sent or gossiped copies of an id
+  // already committed or already admitted record nothing (the dedup stage
+  // answers them from the indexes). The admission record serves only this
+  // trace event, so untraced runs keep none.
+  if (obs::Tracer* t = simulation_.tracer()) {
+    if (!commit_index_.contains(tx->id) && admitted_.insert(tx->id).second) {
+      t->Instant(obs::EventKind::kPipeAdmit, simulation_.now(), node_,
+                 tx->id.Prefix64(), 0);
+    }
+  }
 
   // TriviallyRelocatable: scalar + shared_ptr captures relocate by raw byte
   // copy inside the event queue's slab (see sim::SmallFn).
@@ -667,7 +620,7 @@ void Organization::HandleCommit(sim::NodeId from,
     if (done != commit_index_.end()) {
       // A checkpoint install covered the id between admission and this
       // dedup check — the admission record will never reach FinishCommit.
-      PipeFinish(tx->id);
+      admitted_.erase(tx->id);
       if (obs::Tracer* t = simulation_.tracer()) {
         t->Span(obs::EventKind::kPipeDedup,
                 simulation_.now() - timing_.dedup_check, simulation_.now(),
@@ -707,31 +660,10 @@ void Organization::HandleCommit(sim::NodeId from,
                 sim::TriviallyRelocatable{[this, from, tx, from_gossip,
                                           arrival, validate_service] {
       if (!running_) return;
-      // The simulated validate_service above is charged regardless; the memo
-      // only skips the host-side hashing when another organization already
-      // verified byte-identical content (see validation_cache.h).
-      TxVerdict verdict;
-      ValidationMemo* memo = perf::MemoEnabled() && timing_.validation_memo
-                                 ? timing_.validation_memo.get()
-                                 : nullptr;
-      const auto cached = memo ? memo->LookupFor(node_, tx) : std::nullopt;
-      if (cached) {
-        verdict = *cached;
-      } else {
-        // Pipeline hub: an idle worker (or an earlier org lane) may already
-        // have verified this exact body — reuse its verdict instead of
-        // redoing the signature work. The memo store below is unchanged, so
-        // memo contents (and everything simulated) are bit-identical with
-        // the hub bypassed.
-        std::optional<TxVerdict> hub;
-        if (perf::PipelineEnabled() && perf::MemoEnabled() &&
-            timing_.commit_pipeline) {
-          hub = timing_.commit_pipeline->Resolve(tx);
-        }
-        verdict = hub ? *hub
-                      : ValidateTransaction(*tx, pki_, org_keys_, policy_);
-        if (memo) memo->StoreFor(node_, tx, verdict);
-      }
+      // The simulated validate_service above is charged regardless; the
+      // table only skips the host-side hashing when another organization
+      // already validated byte-identical content (see validation_cache.h).
+      const TxVerdict verdict = verdicts_.Validate(tx);
       if (obs::Tracer* t = simulation_.tracer()) {
         // The span covers the charged service slice (the queue wait ahead of
         // it belongs to the dedup/admission stage, not validation).
@@ -779,9 +711,7 @@ void Organization::FinishCommit(sim::NodeId from,
                                 std::shared_ptr<const Transaction> tx,
                                 bool from_gossip, TxVerdict verdict,
                                 sim::SimTime arrival) {
-  // Validation is decided; later admissions touching these objects are
-  // independent of this transaction again.
-  PipeFinish(tx->id);
+  admitted_.erase(tx->id);
   // A checkpoint install can cover a transaction while it is in the
   // validate/commit pipeline; committing it again would double-append the
   // block and double-count it. Serve the receipt from the adopted record.
@@ -847,23 +777,10 @@ void Organization::FinishCommit(sim::NodeId from,
       committed_txs_.push_back(tx);
       ++committed_count_;
       committed_xor_ ^= tx->id.Prefix64();
-      // Persist the body so a restart can keep serving syncs for it. The
-      // canonical encoding is cached on the transaction, so the n
-      // organizations committing the same gossiped tx serialize it once
-      // between them instead of once each.
-      if (perf::MemoEnabled()) {
-        if (perf::ArenaEnabled()) {
-          // Zero-copy: the store adopts the sealed canonical encoding the
-          // transaction already carries instead of duplicating the bytes.
-          ledger_.PutTransactionBodyRef(tx->id, tx->SharedEncoding());
-        } else {
-          ledger_.PutTransactionBody(tx->id, tx->EncodedBody());
-        }
-      } else {
-        codec::Writer w;
-        tx->Encode(w);
-        ledger_.PutTransactionBody(tx->id, BytesView(w.data()));
-      }
+      // Persist the body so a restart can keep serving syncs for it.
+      // Zero-copy: the store adopts the sealed canonical encoding the
+      // transaction already carries, shared by every org committing it.
+      ledger_.PutTransactionBodyRef(tx->id, tx->SharedEncoding());
     }
   }
   if (commit_observer_) commit_observer_(*tx, verdict);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,8 +21,7 @@
 
 namespace orderless::core {
 
-class CommitPipeline;
-class ValidationMemo;
+class VerdictTable;
 
 /// Bounded admission + priority load shedding. Past saturation an unbounded
 /// organization queues work without limit and every latency collapses (the
@@ -153,22 +153,6 @@ struct OrgTimingConfig {
   /// behaviour, bit-identical to it).
   CheckpointConfig checkpoint;
 
-  /// Shared verified-transaction memo (host-side; see validation_cache.h).
-  /// Organizations handed the same memo share signature-verification work:
-  /// validation is pure in (tx bytes, PKI, key-set, policy), which one
-  /// simulated network holds fixed. Null = every validation runs in full.
-  /// Simulated validate-service time is charged either way.
-  std::shared_ptr<ValidationMemo> validation_memo;
-
-  /// Shared commit-pipeline hub (host-side; see pipeline.h). Independent
-  /// commits admitted by any organization are published here so idle
-  /// simulation workers steal and batch-verify them while the simulated
-  /// validate service elapses; the memo above still records every verdict,
-  /// so memo contents and all simulated results are bit-identical with the
-  /// hub absent or the pipeline toggle off. Null = inline validation only
-  /// (sequential runs, `--no-pipeline`).
-  std::shared_ptr<CommitPipeline> commit_pipeline;
-
   /// Ledger retention knobs (benchmarks use lightweight settings).
   ledger::LedgerOptions ledger_options;
 };
@@ -227,13 +211,17 @@ struct OrgPhaseStats {
 
 class Organization {
  public:
-  /// `store` is the ledger's backing KV store; pass nullptr for a private
-  /// in-memory store. A host that wants to crash and later rebuild the
-  /// organization keeps the shared_ptr and hands it to the replacement.
+  /// `verdicts` is the network-wide validation table every organization of
+  /// the network shares (see validation_cache.h); it must outlive the
+  /// organization. `store` is the ledger's backing KV store; pass nullptr
+  /// for a private in-memory store. A host that wants to crash and later
+  /// rebuild the organization keeps the shared_ptr and hands it to the
+  /// replacement.
   Organization(sim::Simulation& simulation, sim::Network& network,
                sim::NodeId node, crypto::PrivateKey key,
                const crypto::Pki& pki, const ContractRegistry& contracts,
-               EndorsementPolicy policy, OrgTimingConfig timing, Rng rng,
+               EndorsementPolicy policy, OrgTimingConfig timing,
+               VerdictTable& verdicts, Rng rng,
                std::shared_ptr<ledger::KvStore> store = nullptr);
 
   /// Registers the network handler and starts the gossip timer.
@@ -321,18 +309,6 @@ class Organization {
   void FinishCommit(sim::NodeId from, std::shared_ptr<const Transaction> tx,
                     bool from_gossip, TxVerdict verdict,
                     sim::SimTime arrival);
-  /// Pipeline admission (commit arrival, after overload shedding): records
-  /// the transaction's write-set objects against the org's in-flight set.
-  /// A commit whose objects are all un-contended is *independent* — its
-  /// host-side signature verification may run out of order (published to
-  /// the shared CommitPipeline hub for idle workers to steal); a
-  /// conflicting commit is validated inline on this lane in canonical
-  /// event order. Pure simulated-state bookkeeping: runs identically with
-  /// the pipeline on or off, so the kPipeAdmit trace is bit-identical too.
-  void PipeAdmit(const std::shared_ptr<const Transaction>& tx);
-  /// Releases the admission record (commit finished, deduplicated away, or
-  /// covered by a checkpoint install mid-pipeline).
-  void PipeFinish(const crypto::Digest& id);
   void GossipTick();
   void AntiEntropyTick();
   void CheckpointTick();
@@ -387,6 +363,7 @@ class Organization {
   const ContractRegistry& contracts_;
   EndorsementPolicy policy_;
   OrgTimingConfig timing_;
+  VerdictTable& verdicts_;
   Rng rng_;
 
   sim::Processor cpu_;
@@ -447,16 +424,10 @@ class Organization {
                      crypto::DigestHash>
       in_flight_;
 
-  // Pipeline conflict bookkeeping: per admitted transaction, the FNV-1a
-  // hashes of its write-set object ids; and per object hash, how many
-  // admitted transactions touch it. An admission finding any of its hashes
-  // already referenced is *conflicting* and never leaves its lane. (A hash
-  // collision can only mark an independent pair conflicting — a
-  // conservative, still-correct direction.)
-  std::unordered_map<crypto::Digest, std::vector<std::uint64_t>,
-                     crypto::DigestHash>
-      pipe_pending_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pipe_object_refs_;
+  // Ids whose admission was traced (kPipeAdmit) and whose commit has not
+  // finished: released when the commit finishes, when the dedup stage finds
+  // it already committed, or at a crash. Empty in untraced runs.
+  std::unordered_set<crypto::Digest, crypto::DigestHash> admitted_;
 
   // Checkpoint state. `sealed_ckpt_` is this organization's own latest seal:
   // the only checkpoint whose chain fields may seed the chain base, the only

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "codec/scratch.h"
-#include "core/perf.h"
 
 namespace orderless::core {
 
@@ -44,27 +43,19 @@ std::optional<Proposal> Proposal::Decode(codec::Reader& r) {
 }
 
 crypto::Digest Proposal::Digest() const {
-  if (cached_ && perf::MemoEnabled()) return cached_digest_;
+  if (cached_) return cached_digest_;
   codec::ScratchWriter w;
   w->Reserve(32 + contract.size() + function.size() + args.size() * 16);
   Encode(*w);
-  const crypto::Digest d = crypto::Sha256::Hash(BytesView(w->data()));
-  if (perf::MemoEnabled()) {
-    cached_digest_ = d;
-    cached_wire_size_ = w->size();
-    cached_ = true;
-  }
-  return d;
+  cached_digest_ = crypto::Sha256::Hash(BytesView(w->data()));
+  cached_wire_size_ = w->size();
+  cached_ = true;
+  return cached_digest_;
 }
 
 std::size_t Proposal::WireSize() const {
-  if (perf::MemoEnabled()) {
-    if (!cached_) (void)Digest();  // one encode stamps both digest and size
-    return cached_wire_size_;
-  }
-  codec::ScratchWriter w;
-  Encode(*w);
-  return w->size();
+  if (!cached_) (void)Digest();  // one encode stamps both digest and size
+  return cached_wire_size_;
 }
 
 crypto::Digest WriteSetDigest(const std::vector<crdt::Operation>& ops) {
@@ -101,18 +92,18 @@ std::shared_ptr<Transaction> Transaction::Assemble(
   tx->endorsements = std::move(endorsements);
   tx->id = ComputeId(tx->ProposalDigest(), tx->OpsDigest());
   tx->client_signature = client_key.Sign(kTxContext, tx->id);
-  // Seal every lazily-filled cache while the client still holds the only
-  // reference: one Transaction object is shared across the q commit
-  // recipients (and re-shared by gossip), so under parallel execution
-  // several org lanes read these fields concurrently. Sealed here, those
-  // reads are immutable; nothing mutates a Transaction after assembly.
-  tx->EncodedBody();
-  tx->WireSize();
-  if (perf::MemoEnabled()) {
-    tx->ProposalDigest();
-    tx->OpsDigest();
-  }
+  // The client still holds the only reference: one Transaction object is
+  // shared across the q commit recipients (and re-shared by gossip), so
+  // seal it before it leaves this lane.
+  tx->Seal();
   return tx;
+}
+
+void Transaction::Seal() const {
+  (void)EncodedBody();
+  (void)WireSize();
+  (void)ProposalDigest();
+  (void)OpsDigest();
 }
 
 namespace {
@@ -130,16 +121,10 @@ void EncodeTransactionFields(const Transaction& tx, codec::Writer& w) {
 }  // namespace
 
 void Transaction::Encode(codec::Writer& w) const {
-  if (perf::MemoEnabled()) {
-    w.PutRaw(EncodedBody());
-    return;
-  }
-  EncodeTransactionFields(*this, w);
+  w.PutRaw(EncodedBody());
 }
 
 BytesView Transaction::EncodedBody() const {
-  // Populated even with the memo off: callers hold the returned view past
-  // this call, so it must always point at owned storage.
   if (!cached_encoding_) {
     codec::Writer w;
     w.Reserve(WireSize() + endorsements.size() * 16 + 32);
@@ -157,13 +142,11 @@ std::shared_ptr<const Bytes> Transaction::SharedEncoding() const {
 crypto::Digest Transaction::ProposalDigest() const { return proposal.Digest(); }
 
 crypto::Digest Transaction::OpsDigest() const {
-  if (ops_digest_cached_ && perf::MemoEnabled()) return cached_ops_digest_;
-  const crypto::Digest d = WriteSetDigest(ops);
-  if (perf::MemoEnabled()) {
-    cached_ops_digest_ = d;
+  if (!ops_digest_cached_) {
+    cached_ops_digest_ = WriteSetDigest(ops);
     ops_digest_cached_ = true;
   }
-  return d;
+  return cached_ops_digest_;
 }
 
 namespace {
@@ -251,7 +234,7 @@ TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
   // failure only if it occurs at an earlier index than the first structural
   // failure, which is precisely what the position walk below reports.
   const std::size_t n = tx.endorsements.size();
-  if (perf::BatchCryptoEnabled() && n >= 2) {
+  if (n >= 2) {
     std::size_t structural_pos = n;
     TxVerdict structural_verdict = TxVerdict::kValid;
     std::unordered_set<crypto::KeyId> seen;
@@ -313,99 +296,6 @@ TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
     return TxVerdict::kInsufficientEndorsements;
   }
   return TxVerdict::kValid;
-}
-
-void ValidateTransactionsBatch(const Transaction* const* txs,
-                               std::size_t count, const crypto::Pki& pki,
-                               const std::set<crypto::KeyId>& organization_keys,
-                               const EndorsementPolicy& policy, TxVerdict* out) {
-  if (!perf::BatchCryptoEnabled() || count < 2) {
-    for (std::size_t t = 0; t < count; ++t) {
-      out[t] = ValidateTransaction(*txs[t], pki, organization_keys, policy);
-    }
-    return;
-  }
-  // Per-transaction structural pass (id binding, unknown/duplicate endorser
-  // scan) mirrors ValidateTransaction's batch branch; signatures from every
-  // transaction then share one VerifyBatch call. first_item[t] indexes the
-  // transaction's client-signature item; its endorsement items follow.
-  struct Plan {
-    std::size_t first_item = 0;
-    std::size_t structural_pos = 0;
-    TxVerdict structural_verdict = TxVerdict::kValid;
-    crypto::Digest message{};
-    bool in_batch = false;
-  };
-  std::vector<Plan> plans(count);
-  std::vector<crypto::Pki::BatchItem> items;
-  std::size_t reserve = 0;
-  for (std::size_t t = 0; t < count; ++t) {
-    reserve += 1 + txs[t]->endorsements.size();
-  }
-  items.reserve(reserve);
-  for (std::size_t t = 0; t < count; ++t) {
-    const Transaction& tx = *txs[t];
-    const crypto::Digest proposal_digest = tx.ProposalDigest();
-    const crypto::Digest ws_digest = tx.OpsDigest();
-    if (Transaction::ComputeId(proposal_digest, ws_digest) != tx.id) {
-      out[t] = TxVerdict::kIdMismatch;
-      continue;
-    }
-    Plan& plan = plans[t];
-    plan.in_batch = true;
-    plan.message = EndorsementMessage(proposal_digest, ws_digest);
-    const std::size_t n = tx.endorsements.size();
-    plan.structural_pos = n;
-    std::unordered_set<crypto::KeyId> seen;
-    seen.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!organization_keys.contains(tx.endorsements[i].org)) {
-        plan.structural_pos = i;
-        plan.structural_verdict = TxVerdict::kUnknownEndorser;
-        break;
-      }
-      if (!seen.insert(tx.endorsements[i].org).second) {
-        plan.structural_pos = i;
-        plan.structural_verdict = TxVerdict::kDuplicateEndorser;
-        break;
-      }
-    }
-    plan.first_item = items.size();
-    items.push_back(crypto::Pki::BatchItem{tx.proposal.client, kTxContext,
-                                           tx.id.View(), tx.client_signature});
-    for (std::size_t i = 0; i < plan.structural_pos; ++i) {
-      items.push_back(crypto::Pki::BatchItem{tx.endorsements[i].org,
-                                             kEndorseContext,
-                                             plan.message.View(),
-                                             tx.endorsements[i].signature});
-    }
-  }
-  std::unique_ptr<bool[]> valid(new bool[items.size()]());
-  if (!items.empty()) pki.VerifyBatch(items.data(), items.size(), valid.get());
-  for (std::size_t t = 0; t < count; ++t) {
-    const Plan& plan = plans[t];
-    if (!plan.in_batch) continue;  // verdict already written (id mismatch)
-    const Transaction& tx = *txs[t];
-    if (!valid[plan.first_item]) {
-      out[t] = TxVerdict::kBadClientSignature;
-      continue;
-    }
-    TxVerdict verdict = TxVerdict::kValid;
-    for (std::size_t i = 0; i < plan.structural_pos; ++i) {
-      if (!valid[plan.first_item + 1 + i]) {
-        verdict = TxVerdict::kBadEndorsementSignature;
-        break;
-      }
-    }
-    if (verdict == TxVerdict::kValid) {
-      if (plan.structural_pos < tx.endorsements.size()) {
-        verdict = plan.structural_verdict;
-      } else if (tx.endorsements.size() < policy.q) {
-        verdict = TxVerdict::kInsufficientEndorsements;
-      }
-    }
-    out[t] = verdict;
-  }
 }
 
 crypto::Digest Receipt::SignedMessage(const crypto::Digest& tx_id, bool valid,

@@ -22,7 +22,7 @@ namespace orderless::core {
 /// Digest() and WireSize() are computed from one canonical encoding and
 /// cached (the cache travels with copies, so the client hashes once and
 /// every organization handling a copy of the proposal reuses it). The cache
-/// is host-side only — see src/core/perf.h. Invariant: a proposal that is
+/// is host-side only. Invariant: a proposal that is
 /// mutated in place *after* Digest()/WireSize() was called must call
 /// InvalidateCache(), or the stale digest will be reused (the Byzantine
 /// inconsistent-clocks path in client.cpp is the one mutation site).
@@ -74,7 +74,13 @@ inline constexpr std::string_view kReceiptContext = "orderless.receipt";
 /// and cached. Because the same object is shared zero-copy through
 /// sim::Network by every simulated organization, the first computation
 /// serves the whole cluster — the n-fold re-encode/re-hash the seed paid
-/// per validation disappears. Host-side only; see src/core/perf.h.
+/// per validation disappears. Host-side only.
+///
+/// Under parallel execution several org lanes read one object's caches
+/// concurrently, so every object that is shared across lanes must be
+/// Seal()ed by its only holder first: Assemble() does it for client-built
+/// transactions, and recovery does it for bodies reloaded from the ledger.
+/// Decode() leaves the caches empty (a decoded copy starts cache-free).
 struct Transaction {
   Proposal proposal;
   std::vector<crdt::Operation> ops;
@@ -91,11 +97,15 @@ struct Transaction {
   static crypto::Digest ComputeId(const crypto::Digest& proposal_digest,
                                   const crypto::Digest& writeset_digest);
 
+  /// Fills every lazily-computed cache (encoding, digests, wire size), after
+  /// which reads of this object never write. Call while holding the only
+  /// reference, before the object is shared across simulation lanes.
+  void Seal() const;
+
   /// Canonical binary form; used to persist committed transaction bodies so
   /// a restarted organization can keep serving gossip pulls and anti-entropy
   /// syncs. Decode performs no validation — run ValidateTransaction.
-  /// Appends the cached canonical bytes when available (bit-identical to a
-  /// fresh field-by-field encode).
+  /// Encode appends the cached canonical encoding (EncodedBody()).
   void Encode(codec::Writer& w) const;
   static std::shared_ptr<Transaction> Decode(codec::Reader& r);
 
@@ -153,18 +163,6 @@ std::string_view TxVerdictName(TxVerdict v);
 TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
                               const std::set<crypto::KeyId>& organization_keys,
                               const EndorsementPolicy& policy);
-
-/// Validates `count` independent transactions in one multi-buffer signature
-/// pass: the client signature and every endorsement keyed-hash across all of
-/// them feed a single `Pki::VerifyBatch` call, amortizing the SIMD lanes
-/// across transactions instead of per transaction. Verdicts written to
-/// `out[i]` are exactly what `ValidateTransaction(*txs[i], ...)` returns —
-/// same first-failure semantics per transaction. Falls back to the scalar
-/// per-transaction path when batch crypto is off.
-void ValidateTransactionsBatch(const Transaction* const* txs,
-                               std::size_t count, const crypto::Pki& pki,
-                               const std::set<crypto::KeyId>& organization_keys,
-                               const EndorsementPolicy& policy, TxVerdict* out);
 
 /// Signed commit receipt (RCPT) or rejection (REJ).
 struct Receipt {

@@ -1,137 +1,39 @@
 #include "core/validation_cache.h"
 
-#include <algorithm>
-
 namespace orderless::core {
 
-ValidationMemo::ValidationMemo(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
+VerdictTable::VerdictTable(const crypto::Pki& pki,
+                           std::set<crypto::KeyId> org_keys,
+                           EndorsementPolicy policy)
+    : pki_(pki), org_keys_(std::move(org_keys)), policy_(policy) {}
 
-std::optional<TxVerdict> ValidationMemo::Lookup(
+TxVerdict VerdictTable::Validate(
     const std::shared_ptr<const Transaction>& tx) {
-  const auto it = map_.find(tx->id);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  Entry& entry = *it->second;
-  // Same object (zero-copy delivery) or byte-identical re-encode; anything
-  // else is a different body claiming a verified id — force revalidation.
-  if (entry.tx != tx &&
-      !std::ranges::equal(entry.tx->EncodedBody(), tx->EncodedBody())) {
-    ++stats_.byte_mismatches;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  order_.splice(order_.begin(), order_, it->second);
-  return entry.verdict;
-}
-
-void ValidationMemo::Store(const std::shared_ptr<const Transaction>& tx,
-                           TxVerdict verdict) {
-  const auto it = map_.find(tx->id);
-  if (it != map_.end()) {
-    it->second->tx = tx;
-    it->second->verdict = verdict;
-    order_.splice(order_.begin(), order_, it->second);
-    return;
-  }
-  if (order_.size() >= capacity_) {
-    map_.erase(order_.back().id);
-    order_.pop_back();
-  }
-  order_.push_front(Entry{tx->id, tx, verdict});
-  map_.emplace(tx->id, order_.begin());
-}
-
-bool ValidationMemo::SameBody(
-    const Entry& entry, const std::shared_ptr<const Transaction>& tx) const {
-  return entry.tx == tx ||
-         std::ranges::equal(entry.tx->EncodedBody(), tx->EncodedBody());
-}
-
-void ValidationMemo::EnableShards(const std::vector<std::uint32_t>& orgs) {
-  sharded_ = true;
-  shard_orgs_ = orgs;
-  for (const std::uint32_t org : orgs) shards_[org];
-}
-
-std::optional<TxVerdict> ValidationMemo::LookupFor(
-    std::uint32_t org, const std::shared_ptr<const Transaction>& tx) {
-  if (!sharded_) return Lookup(tx);
-  const auto shard_it = shards_.find(org);
-  if (shard_it == shards_.end()) return Lookup(tx);
-  Shard& shard = shard_it->second;
-  const auto own = shard.index.find(tx->id);
-  if (own != shard.index.end()) {
-    const Entry& entry = shard.pending[own->second];
-    if (!SameBody(entry, tx)) {
-      ++shard.stats.byte_mismatches;
-      return std::nullopt;
+  const std::shared_ptr<const Bytes> body = tx->SharedEncoding();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(tx->id);
+    if (it != entries_.end() &&
+        (it->second.body == body || *it->second.body == *body)) {
+      return it->second.verdict;
     }
-    ++shard.stats.hits;
-    return entry.verdict;
   }
-  // Base lookup is read-only during epochs: no LRU splice, no shared-stats
-  // update — recency and stats land at the next MergeShards.
-  const auto it = map_.find(tx->id);
-  if (it == map_.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  const Entry& entry = *it->second;
-  if (!SameBody(entry, tx)) {
-    ++shard.stats.byte_mismatches;
-    return std::nullopt;
-  }
-  ++shard.stats.hits;
-  return entry.verdict;
-}
-
-void ValidationMemo::StoreFor(std::uint32_t org,
-                              const std::shared_ptr<const Transaction>& tx,
-                              TxVerdict verdict) {
-  if (!sharded_) {
-    Store(tx, verdict);
-    return;
-  }
-  const auto shard_it = shards_.find(org);
-  if (shard_it == shards_.end()) {
-    Store(tx, verdict);
-    return;
-  }
-  Shard& shard = shard_it->second;
-  const auto own = shard.index.find(tx->id);
-  if (own != shard.index.end()) {
-    shard.pending[own->second].tx = tx;
-    shard.pending[own->second].verdict = verdict;
-    return;
-  }
-  shard.index.emplace(tx->id, shard.pending.size());
-  shard.pending.push_back(Entry{tx->id, tx, verdict});
-}
-
-void ValidationMemo::MergeShards() {
-  if (!sharded_) return;
-  for (const std::uint32_t org : shard_orgs_) {
-    Shard& shard = shards_[org];
-    for (Entry& entry : shard.pending) {
-      Store(entry.tx, entry.verdict);
+  const TxVerdict verdict = ValidateTransaction(*tx, pki_, org_keys_, policy_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!entries_.contains(tx->id)) {
+    if (insert_order_.size() >= kCapacity) {
+      entries_.erase(insert_order_.front());
+      insert_order_.pop_front();
     }
-    shard.pending.clear();
-    shard.index.clear();
-    stats_.hits += shard.stats.hits;
-    stats_.misses += shard.stats.misses;
-    stats_.byte_mismatches += shard.stats.byte_mismatches;
-    shard.stats = Stats{};
+    entries_.emplace(tx->id, Entry{body, verdict});
+    insert_order_.push_back(tx->id);
   }
+  return verdict;
 }
 
-void ValidationMemo::Clear() {
-  order_.clear();
-  map_.clear();
-  stats_ = Stats{};
-  for (auto& [org, shard] : shards_) shard = Shard{};
+std::size_t VerdictTable::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 }  // namespace orderless::core

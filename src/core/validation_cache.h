@@ -1,115 +1,71 @@
-// Memoized transaction validation (host-side optimization, see perf.h).
+// Network-wide table of transaction validation verdicts (host-side).
 //
+// Every organization validates every committed transaction (paper §1), and
 // ValidateTransaction is a pure function of (transaction bytes, PKI,
-// organization key-set, endorsement policy): for a fixed simulated network
-// those last three never change, so once one organization has verified a
-// transaction's signatures every other organization validating an identical
-// copy can reuse the verdict. The simulated validate-service time is still
-// charged per organization — only the host-side SHA-256 work is skipped —
-// so simulated results are bit-identical with the memo on or off.
+// organization key set, endorsement policy). One simulated network holds the
+// last three fixed, so once any organization has validated a transaction the
+// others can reuse its verdict. Each organization is still charged its
+// simulated validate-service time — only the host-side hashing is shared —
+// so simulated results never depend on whether a lookup hit.
 //
-// Byzantine safety: the memo key is the transaction id, but a Byzantine
-// peer could gossip a *different* body under a known-good id (the id is
-// attacker-chosen on a forged transaction). Lookup therefore only returns a
-// hit when the candidate is the same object (the zero-copy shared_ptr case)
-// or its canonical encoding is byte-identical to the bytes that earned the
-// cached verdict. A substituted body misses and takes the full
-// ValidateTransaction path.
+// Byzantine safety: entries are keyed by transaction id, which is
+// attacker-chosen on a forged transaction. A lookup returns the stored
+// verdict only when the caller's sealed encoding is the stored buffer (the
+// zero-copy case: one object is shared across the cluster) or byte-equal to
+// it (a decoded copy). A byte-differing body under a known id is validated in
+// full and never replaces the stored entry.
+//
+// Threading: every org lane calls Validate directly, so lookups and inserts
+// share one mutex and ValidateTransaction runs outside it. Two lanes that
+// miss the same id at the same moment may both validate it; both compute the
+// same verdict and only the first insert is kept. Callers must pass sealed
+// transactions (Transaction::Seal) so the encoding read here never writes.
 #pragma once
 
-#include <cstdint>
-#include <list>
+#include <cstddef>
+#include <deque>
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <set>
 #include <unordered_map>
-#include <vector>
 
+#include "core/policy.h"
 #include "core/transaction.h"
+#include "crypto/pki.h"
 
 namespace orderless::core {
 
-/// LRU of validation verdicts keyed by transaction id, guarded by
-/// byte-equality of the canonical encoding.
-class ValidationMemo {
+class VerdictTable {
  public:
-  explicit ValidationMemo(std::size_t capacity = 8192);
+  /// Entries kept; the oldest insert is evicted first.
+  static constexpr std::size_t kCapacity = 8192;
 
-  /// Returns the cached verdict iff `tx` is provably the same transaction
-  /// that earned it (same object, or byte-identical canonical encoding).
-  std::optional<TxVerdict> Lookup(
-      const std::shared_ptr<const Transaction>& tx);
+  /// Every organization sharing one table must share `pki`, the full
+  /// organization key directory and the endorsement policy (true for every
+  /// org of one simulated network). `pki` must outlive the table.
+  VerdictTable(const crypto::Pki& pki, std::set<crypto::KeyId> org_keys,
+               EndorsementPolicy policy);
 
-  /// Records the verdict for `tx`, evicting the least-recently-used entry
-  /// at capacity.
-  void Store(const std::shared_ptr<const Transaction>& tx, TxVerdict verdict);
+  /// Exactly what ValidateTransaction(*tx, pki, org_keys, policy) returns:
+  /// the stored verdict for a same-body hit, else a full validation whose
+  /// verdict is stored if the id is still absent.
+  TxVerdict Validate(const std::shared_ptr<const Transaction>& tx);
 
-  // --- Sharded mode, for the parallel simulation engine. ---
-  //
-  // The memo is shared across organizations, which run on different lanes
-  // in a parallel epoch. Sharding splits it into a read-only base (the LRU
-  // above, frozen during epochs) plus one private shard per destination
-  // org: lookups consult the own shard then the base without touching LRU
-  // order; stores append to the own shard. MergeShards() — called at every
-  // epoch barrier — folds the shards into the base LRU in org order, so
-  // the base's content is a deterministic function of the simulation, not
-  // of thread timing. Verdicts are unaffected either way (the byte-equality
-  // guard makes a hit equivalent to revalidation), which is why the memo
-  // stays outcome-neutral under parallel execution.
-
-  /// Switches to sharded mode with one shard per org in `orgs`. Call before
-  /// the run starts; unknown orgs in LookupFor/StoreFor fall back to the
-  /// unsharded path.
-  void EnableShards(const std::vector<std::uint32_t>& orgs);
-  bool sharded() const { return sharded_; }
-
-  /// Sharded-aware Lookup/Store: exactly Lookup/Store when sharding is off.
-  std::optional<TxVerdict> LookupFor(
-      std::uint32_t org, const std::shared_ptr<const Transaction>& tx);
-  void StoreFor(std::uint32_t org,
-                const std::shared_ptr<const Transaction>& tx,
-                TxVerdict verdict);
-
-  /// Folds every shard into the base LRU (org order, insertion order within
-  /// a shard) and merges shard-local stats. Single-threaded barrier context.
-  void MergeShards();
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t byte_mismatches = 0;  // Byzantine body-substitution guard
-  };
-  const Stats& stats() const { return stats_; }
-  std::size_t size() const { return order_.size(); }
-  void Clear();
+  std::size_t size() const;
 
  private:
   struct Entry {
-    crypto::Digest id;
-    // Keeps the verified body's bytes reachable for the byte-equality guard
-    // (and pins them: EncodedBody() views stay valid while the entry lives).
-    std::shared_ptr<const Transaction> tx;
+    std::shared_ptr<const Bytes> body;  // the sealed encoding that earned it
     TxVerdict verdict = TxVerdict::kValid;
   };
-  using Order = std::list<Entry>;
 
-  /// Private per-org buffer: entries stored since the last merge, in
-  /// insertion order, plus this org's view of the stats.
-  struct Shard {
-    std::vector<Entry> pending;
-    std::unordered_map<crypto::Digest, std::size_t, crypto::DigestHash> index;
-    Stats stats;
-  };
+  const crypto::Pki& pki_;
+  const std::set<crypto::KeyId> org_keys_;
+  const EndorsementPolicy policy_;
 
-  bool SameBody(const Entry& entry,
-                const std::shared_ptr<const Transaction>& tx) const;
-
-  std::size_t capacity_;
-  Order order_;  // front = most recently used
-  std::unordered_map<crypto::Digest, Order::iterator, crypto::DigestHash> map_;
-  Stats stats_;
-  bool sharded_ = false;
-  std::vector<std::uint32_t> shard_orgs_;  // merge order
-  std::unordered_map<std::uint32_t, Shard> shards_;
+  mutable std::mutex mutex_;
+  std::unordered_map<crypto::Digest, Entry, crypto::DigestHash> entries_;
+  std::deque<crypto::Digest> insert_order_;  // FIFO eviction
 };
 
 }  // namespace orderless::core

@@ -3,8 +3,6 @@
 #include <array>
 #include <cstring>
 
-#include "common/perf.h"
-
 namespace orderless::crypto {
 
 namespace {
@@ -144,7 +142,7 @@ std::size_t Pki::CountValidDistinct(
   // Batch path: the allowed/duplicate filters don't depend on verification
   // outcomes, so pre-filter, verify the survivors in one multi-buffer pass,
   // and count. Counted set and result match the scalar loop exactly.
-  if (perf::BatchCryptoEnabled() && signatures.size() >= 2) {
+  if (signatures.size() >= 2) {
     std::set<KeyId> seen;
     std::vector<BatchItem> items;
     items.reserve(signatures.size());

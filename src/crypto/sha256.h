@@ -70,9 +70,8 @@ class Sha256 {
 /// benchmarks can measure each width on its own.
 namespace batch {
 
-/// kAuto = runtime dispatch: scalar when perf::BatchCryptoEnabled() is off,
-/// otherwise SHA-NI > 8-wide AVX2 (batches of 5+) > 4-wide (batches of 2+)
-/// > scalar, by CPU capability.
+/// kAuto = runtime dispatch by CPU capability: SHA-NI > 8-wide AVX2
+/// (batches of 5+) > 4-wide (batches of 2+) > scalar.
 enum class Kernel { kAuto, kScalar, kShaNi, kWide4, kWide8 };
 
 bool CpuHasShaNi();

@@ -1,11 +1,9 @@
 // Runtime kernel dispatch for SHA-256: CPU feature detection, the
 // test/bench kernel override, the shared Compress() used by the incremental
 // Sha256, and HashBatch. Digests are identical across every kernel; the
-// batch-crypto perf toggle only changes which host instructions compute
-// them.
+// kernel choice only changes which host instructions compute them.
 #include <atomic>
 
-#include "common/perf.h"
 #include "crypto/sha256_internal.h"
 #include "crypto/sha256_wide.h"
 
@@ -79,7 +77,6 @@ Kernel ForcedKernel() { return g_forced; }
 
 Kernel ActiveKernel(std::size_t n) {
   if (g_forced != Kernel::kAuto) return g_forced;
-  if (!perf::BatchCryptoEnabled()) return Kernel::kScalar;
   if (CpuHasShaNi()) return Kernel::kShaNi;
   if (n >= 5 && CpuHasAvx2()) return Kernel::kWide8;
   if (n >= 2) return Kernel::kWide4;
@@ -163,7 +160,7 @@ void Compress(std::uint32_t state[8], const std::uint8_t* blocks,
       CompressShaNi(state, blocks, nblocks);
       return;
     case batch::Kernel::kAuto:
-      if (perf::BatchCryptoEnabled() && batch::CpuHasShaNi()) {
+      if (batch::CpuHasShaNi()) {
         CompressShaNi(state, blocks, nblocks);
         return;
       }

@@ -14,7 +14,6 @@
 #include "fabriccrdt/apps.h"
 #include "codec/scratch.h"
 #include "crypto/sha256.h"
-#include "core/pipeline.h"
 #include "harness/orderless_net.h"
 #include "obs/prof.h"
 #include "synchotstuff/net.h"
@@ -142,8 +141,6 @@ class Driver {
   virtual RobustnessStats Robustness() const { return {}; }
   /// Zero-copy commit rows (shared sealed encodings); OrderlessChain only.
   virtual std::size_t BodyRefRows() const { return 0; }
-  /// Commit-pipeline hub traffic (OrderlessChain parallel runs only).
-  virtual obs::PipelineSnapshot Pipeline() const { return {}; }
   /// Event lane of `client`'s simulated node; lane 0 (the sequential
   /// default) for systems without per-actor lanes.
   virtual sim::ActorId ClientActor(std::size_t client) const {
@@ -314,20 +311,6 @@ class OrderlessDriver final : public Driver {
   }
 
   std::size_t BodyRefRows() const override { return net_->BodyRefRows(); }
-
-  obs::PipelineSnapshot Pipeline() const override {
-    obs::PipelineSnapshot snap;
-    if (const core::CommitPipeline* pipe = net_->commit_pipeline()) {
-      const core::PipelineStats& s = pipe->stats();
-      snap.published = s.published;
-      snap.stolen = s.stolen;
-      snap.inline_claims = s.inline_claims;
-      snap.shared = s.shared;
-      snap.batches = s.batches;
-      snap.swept = s.swept;
-    }
-    return snap;
-  }
 
  private:
   std::unique_ptr<OrderlessNet> net_;
@@ -630,7 +613,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     scratch.heap_allocs = s.heap_allocs;
     scratch.drops = s.drops;
     config.profiler->SetScratch(scratch);
-    config.profiler->SetPipeline(driver->Pipeline());
   }
 
   ExperimentResult result;
@@ -641,7 +623,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.breakdown = driver->Breakdown();
   result.throughput_per_second = result.metrics.per_second.PerSecond(w.duration);
   result.events_processed = simulation.events_processed();
-  result.arena_high_water = simulation.arena_high_water();
   result.body_ref_rows = driver->BodyRefRows();
   return result;
 }

@@ -106,7 +106,7 @@ struct ExperimentConfig {
   obs::Tracer* tracer = nullptr;
 
   /// Optional host-side profiler (not owned; OrderlessChain only): lane
-  /// utilization, barrier waits, arena recycle rates and batch-crypto
+  /// utilization, barrier waits, scratch-pool recycle rates and batch-crypto
   /// dispatch counts. Null = zero profiler instructions on the hot path.
   obs::Profiler* profiler = nullptr;
 
@@ -126,12 +126,8 @@ struct ExperimentResult {
   PhaseBreakdown breakdown;
   std::vector<double> throughput_per_second;  // Fig. 8 timeline
   /// Simulator events executed — a cheap determinism fingerprint: host-side
-  /// optimizations must leave it bit-identical (bench/perf_hotpath asserts
-  /// this between cached and uncached runs).
+  /// optimizations and thread counts must leave it bit-identical.
   std::uint64_t events_processed = 0;
-  /// Epoch-arena peak usage in bytes (max over lanes; 0 with arenas off or
-  /// for the non-simulation baselines). Host-side diagnostic only.
-  std::size_t arena_high_water = 0;
   /// KV rows sharing the committing transaction's sealed encoding instead of
   /// owning a copy (zero-copy commit path; OrderlessChain only).
   std::size_t body_ref_rows = 0;

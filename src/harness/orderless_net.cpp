@@ -1,8 +1,5 @@
 #include "harness/orderless_net.h"
 
-#include "core/pipeline.h"
-#include "core/validation_cache.h"
-
 namespace orderless::harness {
 
 OrderlessNet::OrderlessNet(OrderlessNetConfig config)
@@ -47,50 +44,21 @@ OrderlessNet::OrderlessNet(OrderlessNetConfig config)
         [tracer, this] { tracer->AbsorbShards(tracer_shard_ptrs_); });
   }
 
-  // One validation memo per simulated network: the PKI, key-set and policy
-  // are fixed here, which is exactly the precondition for sharing verdicts
-  // across organizations (see validation_cache.h).
-  if (!config_.org_timing.validation_memo) {
-    config_.org_timing.validation_memo =
-        std::make_shared<core::ValidationMemo>();
-  }
-  if (simulation_.parallel()) {
-    // Freeze the shared memo's LRU during epochs; per-org shards merge at
-    // every barrier (outcome-neutral — see validation_cache.h).
-    std::vector<std::uint32_t> org_ids;
-    for (std::uint32_t i = 0; i < config_.num_orgs; ++i) {
-      org_ids.push_back(org_node(i));
-    }
-    const auto memo = config_.org_timing.validation_memo;
-    memo->EnableShards(org_ids);
-    simulation_.AddEpochHook([memo] { memo->MergeShards(); });
-  }
-
   for (std::uint32_t i = 0; i < config_.num_orgs; ++i) {
     org_nodes_.push_back(org_node(i));
     org_identities_.push_back(pki_.Generate("org" + std::to_string(i)));
     org_keys_.insert(org_identities_.back().id());
     org_stores_.push_back(std::make_shared<ledger::MemKvStore>());
   }
-  // One commit-pipeline hub per simulated network, parallel runs only: the
-  // full key directory and policy are fixed now (the shareability
-  // precondition, same as the memo's), its Sweep hook reclaims items at
-  // every barrier, and idle workers drain published verifications between
-  // finishing their lanes and parking. Sequential runs never execute epoch
-  // hooks or idle work, so the hub would only leak there — orgs validate
-  // inline, which a single thread does at full speed anyway.
-  if (simulation_.parallel()) {
-    config_.org_timing.commit_pipeline = std::make_shared<core::CommitPipeline>(
-        pki_, org_keys_, config_.policy);
-    const auto pipe = config_.org_timing.commit_pipeline;
-    simulation_.AddEpochHook([pipe] { pipe->Sweep(); });
-    simulation_.SetIdleWork([pipe] { return pipe->DrainOne(); });
-  }
+  // The PKI, key directory and policy are fixed from here on, which is
+  // exactly the precondition for sharing verdicts across organizations.
+  verdicts_ = std::make_unique<core::VerdictTable>(pki_, org_keys_,
+                                                   config_.policy);
   for (std::uint32_t i = 0; i < config_.num_orgs; ++i) {
     orgs_.push_back(std::make_unique<core::Organization>(
         simulation_, *network_, org_nodes_[i], org_identities_[i], pki_,
-        contracts_, config_.policy, config_.org_timing, rng_.Fork(),
-        org_stores_[i]));
+        contracts_, config_.policy, config_.org_timing, *verdicts_,
+        rng_.Fork(), org_stores_[i]));
   }
   for (auto& org : orgs_) {
     org->SetPeers(org_nodes_, org_keys_);
@@ -123,8 +91,8 @@ bool OrderlessNet::RestartOrg(std::size_t i) {
   graveyard_.push_back(std::move(orgs_[i]));
   orgs_[i] = std::make_unique<core::Organization>(
       simulation_, *network_, org_node(i), org_identities_[i], pki_,
-      contracts_, config_.policy, config_.org_timing, rng_.Fork(),
-      org_stores_[i]);
+      contracts_, config_.policy, config_.org_timing, *verdicts_,
+      rng_.Fork(), org_stores_[i]);
   orgs_[i]->SetPeers(org_nodes_, org_keys_);
   const bool consistent = orgs_[i]->RecoverFromLedger();
   orgs_[i]->Start();

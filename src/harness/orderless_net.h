@@ -8,6 +8,7 @@
 
 #include "core/client.h"
 #include "core/org.h"
+#include "core/validation_cache.h"
 #include "crypto/pki.h"
 #include "obs/trace.h"
 #include "sim/network.h"
@@ -52,16 +53,6 @@ class OrderlessNet {
   sim::Network& network() { return *network_; }
   const crypto::Pki& pki() const { return pki_; }
   const OrderlessNetConfig& config() const { return config_; }
-  /// The network-wide verified-transaction memo (never null after
-  /// construction; its stats feed bench/perf_hotpath).
-  const core::ValidationMemo& validation_memo() const {
-    return *config_.org_timing.validation_memo;
-  }
-  /// The shared commit-pipeline hub; null in sequential runs (orgs validate
-  /// inline there — see the constructor). Stats feed the profiler.
-  const core::CommitPipeline* commit_pipeline() const {
-    return config_.org_timing.commit_pipeline.get();
-  }
 
   std::size_t org_count() const { return orgs_.size(); }
   std::size_t client_count() const { return clients_.size(); }
@@ -117,6 +108,9 @@ class OrderlessNet {
   core::ContractRegistry contracts_;
   Rng rng_;
   std::unique_ptr<sim::Network> network_;
+  // One validation table per network, shared by every organization (built
+  // once the key directory exists; see validation_cache.h).
+  std::unique_ptr<core::VerdictTable> verdicts_;
   std::vector<std::unique_ptr<core::Organization>> orgs_;
   std::vector<std::unique_ptr<core::Client>> clients_;
   // Restart support: per-org persistent store, identity, and the directory

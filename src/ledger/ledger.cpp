@@ -6,16 +6,15 @@
 
 #include "codec/codec.h"
 #include "codec/scratch.h"
-#include "common/perf.h"
 
 namespace orderless::ledger {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-/// prefix + 64 hex chars in a single string allocation. The legacy concat
-/// ("tx/" + Hex()) allocates the hex temporary and then the concatenation —
-/// twice per committed transaction on the hottest store path.
+/// prefix + 64 hex chars in a single string allocation (a "tx/" + Hex()
+/// concat would allocate the hex temporary and then the concatenation —
+/// twice per committed transaction on the hottest store path).
 std::string PrefixedHexKey(std::string_view prefix, const crypto::Digest& d) {
   std::string key;
   key.resize(prefix.size() + 2 * d.bytes.size());
@@ -35,18 +34,11 @@ Ledger::Ledger(std::shared_ptr<KvStore> store, LedgerOptions options)
 }
 
 std::string Ledger::TxKey(const crypto::Digest& tx_digest) {
-  if (perf::ArenaEnabled()) return PrefixedHexKey("tx/", tx_digest);
-  return "tx/" + tx_digest.Hex();
+  return PrefixedHexKey("tx/", tx_digest);
 }
 
 std::string Ledger::BodyKey(const crypto::Digest& tx_digest) {
-  if (perf::ArenaEnabled()) return PrefixedHexKey("body/", tx_digest);
-  return "body/" + tx_digest.Hex();
-}
-
-void Ledger::PutTransactionBody(const crypto::Digest& tx_digest,
-                                BytesView encoded) {
-  store_->Put(BodyKey(tx_digest), encoded);
+  return PrefixedHexKey("body/", tx_digest);
 }
 
 void Ledger::PutTransactionBodyRef(const crypto::Digest& tx_digest,
@@ -65,34 +57,29 @@ void Ledger::ScanTransactionBodies(
 
 std::string Ledger::OpKey(const crdt::Operation& op) {
   const auto id = op.id();
-  if (perf::ArenaEnabled()) {
-    // Same key bytes as the concat below, one allocation: numbers formatted
-    // into a stack buffer, the digest prefix hex-encoded directly instead of
-    // through Hex().substr().
-    char mid[80];
-    const int mid_len = std::snprintf(
-        mid, sizeof mid, "/%llu.%llu.%lu.",
-        static_cast<unsigned long long>(id.client),
-        static_cast<unsigned long long>(id.counter),
-        static_cast<unsigned long>(id.seq));
-    const crypto::Digest content = op.ContentDigest();
-    char hex8[8];
-    for (int i = 0; i < 4; ++i) {
-      hex8[2 * i] = kHexDigits[content.bytes[i] >> 4];
-      hex8[2 * i + 1] = kHexDigits[content.bytes[i] & 0xf];
-    }
-    std::string key;
-    key.reserve(3 + op.object_id.size() + static_cast<std::size_t>(mid_len) + 8);
-    key.append("op/");
-    key.append(op.object_id);
-    key.append(mid, static_cast<std::size_t>(mid_len));
-    key.append(hex8, 8);
-    return key;
+  // "op/<object id>/<client>.<counter>.<seq>.<8 hex of the content digest>",
+  // object id first so a prefix scan groups one object's operations. One
+  // allocation: numbers formatted into a stack buffer, the digest prefix
+  // hex-encoded directly.
+  char mid[80];
+  const int mid_len = std::snprintf(
+      mid, sizeof mid, "/%llu.%llu.%lu.",
+      static_cast<unsigned long long>(id.client),
+      static_cast<unsigned long long>(id.counter),
+      static_cast<unsigned long>(id.seq));
+  const crypto::Digest content = op.ContentDigest();
+  char hex8[8];
+  for (int i = 0; i < 4; ++i) {
+    hex8[2 * i] = kHexDigits[content.bytes[i] >> 4];
+    hex8[2 * i + 1] = kHexDigits[content.bytes[i] & 0xf];
   }
-  // object id first so a prefix scan groups one object's operations.
-  return "op/" + op.object_id + "/" + std::to_string(id.client) + "." +
-         std::to_string(id.counter) + "." + std::to_string(id.seq) + "." +
-         op.ContentDigest().Hex().substr(0, 8);
+  std::string key;
+  key.reserve(3 + op.object_id.size() + static_cast<std::size_t>(mid_len) + 8);
+  key.append("op/");
+  key.append(op.object_id);
+  key.append(mid, static_cast<std::size_t>(mid_len));
+  key.append(hex8, 8);
+  return key;
 }
 
 const Block& Ledger::Commit(const crypto::Digest& tx_digest, bool valid,

@@ -110,10 +110,9 @@ class Ledger {
 
   /// Optional storage of full transaction bodies (canonical encoding), so a
   /// restarted host can keep serving gossip pulls / anti-entropy syncs for
-  /// transactions committed before the crash.
-  void PutTransactionBody(const crypto::Digest& tx_digest, BytesView encoded);
-  /// Zero-copy variant: the store adopts the refcounted buffer (the
-  /// transaction's sealed canonical encoding) instead of copying it.
+  /// transactions committed before the crash. Zero-copy: the store adopts
+  /// the refcounted buffer (the transaction's sealed canonical encoding)
+  /// instead of copying it.
   void PutTransactionBodyRef(const crypto::Digest& tx_digest,
                              std::shared_ptr<const Bytes> encoded);
   void ScanTransactionBodies(

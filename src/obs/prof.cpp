@@ -40,12 +40,6 @@ double Profiler::Utilization() const {
          static_cast<double>(pool_width_ns_);
 }
 
-double Profiler::ArenaHitRate() const {
-  if (arena_.alloc_calls == 0) return 0;
-  return static_cast<double>(arena_.alloc_calls - arena_.chunk_allocs) /
-         static_cast<double>(arena_.alloc_calls);
-}
-
 double Profiler::ScratchHitRate() const {
   if (scratch_.acquires == 0) return 0;
   return static_cast<double>(scratch_.pool_hits) /
@@ -65,13 +59,6 @@ void Profiler::Fill(MetricsRegistry& registry) const {
         .Set(static_cast<double>(active_lane_sum_) /
              static_cast<double>(epochs_));
   }
-  registry.counter("prof.arena.alloc_calls").Add(arena_.alloc_calls);
-  registry.counter("prof.arena.chunk_allocs").Add(arena_.chunk_allocs);
-  registry.gauge("prof.arena.recycle_hit_rate").Set(ArenaHitRate());
-  registry.counter("prof.arena.capacity_bytes").Add(arena_.capacity_bytes);
-  registry.counter("prof.arena.high_water_bytes")
-      .Add(arena_.high_water_bytes);
-  registry.counter("prof.arena.resets_with_use").Add(arena_.resets_with_use);
   registry.counter("prof.scratch.acquires").Add(scratch_.acquires);
   registry.counter("prof.scratch.pool_hits").Add(scratch_.pool_hits);
   registry.counter("prof.scratch.heap_allocs").Add(scratch_.heap_allocs);
@@ -85,12 +72,6 @@ void Profiler::Fill(MetricsRegistry& registry) const {
   registry.counter("prof.crypto.wide8").Add(crypto_.wide8);
   registry.counter("prof.crypto.verify_batches").Add(crypto_.verify_batches);
   registry.counter("prof.crypto.verify_sigs").Add(crypto_.verify_sigs);
-  registry.counter("prof.pipeline.published").Add(pipeline_.published);
-  registry.counter("prof.pipeline.stolen").Add(pipeline_.stolen);
-  registry.counter("prof.pipeline.inline_claims").Add(pipeline_.inline_claims);
-  registry.counter("prof.pipeline.shared").Add(pipeline_.shared);
-  registry.counter("prof.pipeline.batches").Add(pipeline_.batches);
-  registry.counter("prof.pipeline.swept").Add(pipeline_.swept);
 }
 
 std::string Profiler::RenderText() const {
@@ -132,13 +113,6 @@ std::string Profiler::RenderText() const {
   }
 
   Appendf(out,
-          "arena: allocs %" PRIu64 "  chunk-mallocs %" PRIu64
-          "  recycle hit %.2f%%  capacity %" PRIu64 "B  high-water %" PRIu64
-          "B  used-resets %" PRIu64 "\n",
-          arena_.alloc_calls, arena_.chunk_allocs, ArenaHitRate() * 100.0,
-          arena_.capacity_bytes, arena_.high_water_bytes,
-          arena_.resets_with_use);
-  Appendf(out,
           "scratch-pool: acquires %" PRIu64 "  pool-hits %" PRIu64
           " (%.2f%%)  heap-allocs %" PRIu64 "  drops %" PRIu64 "\n",
           scratch_.acquires, scratch_.pool_hits, ScratchHitRate() * 100.0,
@@ -150,12 +124,6 @@ std::string Profiler::RenderText() const {
           crypto_.batches, crypto_.scalar, crypto_.sha_ni, crypto_.wide4,
           crypto_.wide8, crypto_.hashes, crypto_.verify_batches,
           crypto_.verify_sigs);
-  Appendf(out,
-          "commit-pipeline: published %" PRIu64 "  stolen %" PRIu64
-          " (batches %" PRIu64 ")  inline-claims %" PRIu64
-          "  shared %" PRIu64 "  swept %" PRIu64 "\n",
-          pipeline_.published, pipeline_.stolen, pipeline_.batches,
-          pipeline_.inline_claims, pipeline_.shared, pipeline_.swept);
   return out;
 }
 
@@ -166,10 +134,8 @@ void Profiler::Reset() {
   barrier_wait_ns_ = 0;
   active_lane_sum_ = 0;
   pool_width_ns_ = 0;
-  arena_ = ArenaSnapshot{};
   scratch_ = ScratchSnapshot{};
   crypto_ = CryptoSnapshot{};
-  pipeline_ = PipelineSnapshot{};
 }
 
 }  // namespace orderless::obs

@@ -3,7 +3,7 @@
 // Where the tracer answers "what did the *simulated* system do", the
 // profiler answers "what did the *host* spend running it": per-lane epoch
 // utilization (busy vs wall time on the worker pool), barrier-wait time,
-// arena recycle hit rates and batch-crypto kernel dispatch counts. All
+// scratch-pool recycle hit rates and batch-crypto kernel dispatch counts. All
 // timestamps here are std::chrono::steady_clock — host time, never
 // sim::SimTime — so profiler output varies by machine while the simulated
 // results stay bit-identical with or without it (bench/perf_hotpath
@@ -27,39 +27,13 @@
 
 namespace orderless::obs {
 
-/// Snapshot of the engine's arena counters (summed over lanes), taken at
-/// epoch boundaries — overwrite-style, the counters are cumulative.
-struct ArenaSnapshot {
-  std::uint64_t alloc_calls = 0;
-  std::uint64_t chunk_allocs = 0;  // Alloc calls that had to malloc a chunk
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t high_water_bytes = 0;
-  std::uint64_t resets_with_use = 0;
-};
-
 /// Pooled-ScratchWriter traffic (mirrors codec::ScratchPoolCounts; plain
 /// struct so obs never links codec — the harness copies the fields across).
-/// This is the allocator the arena perf toggle actually gates on today's
-/// hot path, so its hit rate is the headline recycle number.
 struct ScratchSnapshot {
   std::uint64_t acquires = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t heap_allocs = 0;
   std::uint64_t drops = 0;
-};
-
-/// Commit-pipeline hub traffic (mirrors core::PipelineStats; plain struct
-/// so obs never links core — the harness copies the fields across). All
-/// host-side work accounting: `stolen` verifications ran on idle workers,
-/// `shared` resolves reused another thread's verdict instead of redoing
-/// the signature checks.
-struct PipelineSnapshot {
-  std::uint64_t published = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t inline_claims = 0;
-  std::uint64_t shared = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t swept = 0;
 };
 
 /// Batch-crypto dispatch snapshot (mirrors crypto::batch::DispatchCounts;
@@ -76,8 +50,8 @@ struct CryptoSnapshot {
   std::uint64_t verify_sigs = 0;
 };
 
-// The methods sim::Simulation calls (BeginLanes, OnLaneSlice, OnEpoch,
-// SetArena) are defined inline: the engine keeps its pointer-only,
+// The methods sim::Simulation calls (BeginLanes, OnLaneSlice, OnEpoch) are
+// defined inline: the engine keeps its pointer-only,
 // no-link relationship with obs (same pattern as the tracer), while the
 // read-out side (Fill, RenderText) lives in prof.cpp inside orderless_obs.
 class Profiler {
@@ -114,10 +88,8 @@ class Profiler {
   }
 
   /// Cumulative-counter snapshots (overwrite semantics).
-  void SetArena(const ArenaSnapshot& arena) { arena_ = arena; }
   void SetScratch(const ScratchSnapshot& scratch) { scratch_ = scratch; }
   void SetCrypto(const CryptoSnapshot& crypto) { crypto_ = crypto; }
-  void SetPipeline(const PipelineSnapshot& pipeline) { pipeline_ = pipeline; }
 
   // --- Read-out (single-threaded, after the run). ---
 
@@ -126,23 +98,19 @@ class Profiler {
   std::uint64_t total_events() const;
   std::uint64_t epoch_wall_ns() const { return wall_ns_; }
   std::uint64_t barrier_wait_ns() const { return barrier_wait_ns_; }
-  const ArenaSnapshot& arena() const { return arena_; }
   const ScratchSnapshot& scratch() const { return scratch_; }
   const CryptoSnapshot& crypto() const { return crypto_; }
-  const PipelineSnapshot& pipeline() const { return pipeline_; }
 
   /// Worker-pool utilization over all epochs: busy lane time divided by
   /// (epoch wall time x pool width). 0 when nothing ran in parallel.
   double Utilization() const;
-  /// Arena recycle hit rate: Allocs served from an existing chunk.
-  double ArenaHitRate() const;
   /// Scratch-pool recycle hit rate: ScratchWriters served without malloc.
   double ScratchHitRate() const;
 
   /// prof.* metrics for --metrics-json.
   void Fill(MetricsRegistry& registry) const;
 
-  /// Terminal summary: utilization, busiest lanes, arena and crypto.
+  /// Terminal summary: utilization, busiest lanes, scratch pool and crypto.
   std::string RenderText() const;
 
   void Reset();
@@ -160,10 +128,8 @@ class Profiler {
   std::uint64_t barrier_wait_ns_ = 0;
   std::uint64_t active_lane_sum_ = 0;
   std::uint64_t pool_width_ns_ = 0;  // sum(wall_ns x pool width) per epoch
-  ArenaSnapshot arena_;
   ScratchSnapshot scratch_;
   CryptoSnapshot crypto_;
-  PipelineSnapshot pipeline_;
 };
 
 }  // namespace orderless::obs

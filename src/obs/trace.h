@@ -63,13 +63,9 @@ enum class EventKind : std::uint8_t {
                      // aux = reason (1 = bad seal / missing attestation
                      // quorum at install, 2 = announce claims did not
                      // reproduce against local state)     (instant)
-  kPipeAdmit,        // org: commit admitted into the intra-org pipeline
-                     // (post-shedding), aux = 1 independent (write set
-                     // disjoint from everything the org has in flight —
-                     // eligible for out-of-order host verification) /
-                     // 0 conflicting (stays in canonical order). Pure
-                     // simulated state: identical with the pipeline
-                     // toggle on or off.                   (instant)
+  kPipeAdmit,        // org: commit admitted into the intra-org commit
+                     // stages (post-shedding), once per id until it
+                     // finishes; aux = 0.                  (instant)
   kPipeDedup,        // org: dedup/admission stage service slice,
                      // aux = outcome (0 = fresh, 1 = already committed,
                      // 2 = already in flight)              (span)

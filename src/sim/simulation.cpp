@@ -9,17 +9,11 @@
 #include <mutex>
 #include <thread>
 
-#include "common/perf.h"
 #include "obs/prof.h"
 
 namespace orderless::sim {
 
 thread_local Simulation::Lane* Simulation::tls_lane_ = nullptr;
-
-EpochArena* Simulation::CurrentArena() {
-  Lane* lane = tls_lane_;
-  return (lane != nullptr && perf::ArenaEnabled()) ? &lane->arena : nullptr;
-}
 
 namespace {
 constexpr SimTime kNever = ~SimTime{0};
@@ -92,10 +86,6 @@ void Simulation::ProposeLookahead(SimTime delay) {
 
 void Simulation::AddEpochHook(std::function<void()> hook) {
   epoch_hooks_.push_back(std::move(hook));
-}
-
-void Simulation::SetIdleWork(std::function<bool()> work) {
-  idle_work_ = std::move(work);
 }
 
 void Simulation::SetLaneTracer(ActorId actor, obs::Tracer* shard) {
@@ -225,9 +215,15 @@ void Simulation::ReserveEventsFor(ActorId dst, std::size_t n) {
     return;
   }
   // One global heap receives every per-actor burst, so successive
-  // reservations must accumulate instead of overwriting each other.
+  // reservations must accumulate instead of overwriting each other. Growth
+  // is geometric across calls: reserving the exact running total would
+  // reallocate the whole queue once per actor (a thousand times when a
+  // harness reserves per client).
   reserve_credit_ += n;
-  queue_.Reserve(reserve_credit_);
+  const std::size_t needed = queue_.size() + reserve_credit_;
+  if (needed > queue_.capacity()) {
+    queue_.Reserve(std::max(needed, 2 * queue_.capacity()) - queue_.size());
+  }
 }
 
 bool Simulation::Step() {
@@ -250,7 +246,6 @@ bool Simulation::Step() {
       t0 = ProfClock::now();
     }
     fn();
-    lane.arena.Reset();
     if (prof) {
       prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
     }
@@ -278,7 +273,6 @@ bool Simulation::Step() {
     t0 = ProfClock::now();
   }
   fn();
-  best->arena.Reset();
   if (prof) {
     prof->OnLaneSlice(best->index, 1, NsBetween(t0, ProfClock::now()));
   }
@@ -294,7 +288,6 @@ void Simulation::RunUntil(SimTime until) {
   }
   while (!queue_.empty() && queue_.front().time <= until) Step();
   if (now_ < until) now_ = until;
-  if (profiler_) SampleProfilerArena();
 }
 
 void Simulation::RunUntilIdle() {
@@ -305,7 +298,6 @@ void Simulation::RunUntilIdle() {
   }
   while (Step()) {
   }
-  if (profiler_) SampleProfilerArena();
 }
 
 std::size_t Simulation::pending() const {
@@ -384,7 +376,6 @@ void Simulation::RunLaneEpoch(Lane& lane, SimTime end) {
     lane.now = meta.time;
     ++lane.processed;
     fn();
-    lane.arena.Reset();
   }
   if (prof) {
     prof->OnLaneSlice(lane.index, lane.processed - before,
@@ -403,7 +394,6 @@ void Simulation::RunHarnessBarrier(SimTime at) {
     SmallFn fn = queue.Pop(meta);
     ++lane.processed;
     fn();
-    lane.arena.Reset();
   }
   tls_lane_ = nullptr;
 }
@@ -448,13 +438,6 @@ void Simulation::DrainActiveLanes(std::vector<Lane*>& active, SimTime end) {
     if (i >= active.size()) break;
     RunLaneEpoch(*active[i], end);
   }
-  // Out of lanes: steal host-only work (published signature verifications)
-  // instead of parking immediately. The epoch barrier waits for this loop,
-  // so barrier-time hooks never overlap a stealing thread.
-  if (idle_work_) {
-    while (idle_work_()) {
-    }
-  }
 }
 
 void Simulation::MergeOutboxes() {
@@ -472,21 +455,6 @@ void Simulation::MergeOutboxes() {
 
 void Simulation::RunEpochHooks() {
   for (const auto& hook : epoch_hooks_) hook();
-  if (profiler_) SampleProfilerArena();
-}
-
-void Simulation::SampleProfilerArena() {
-  obs::ArenaSnapshot snap;
-  for (const auto& lane : lanes_) {
-    snap.alloc_calls += lane->arena.alloc_calls();
-    snap.chunk_allocs += lane->arena.chunk_allocs();
-    snap.capacity_bytes += lane->arena.capacity();
-    snap.high_water_bytes =
-        std::max<std::uint64_t>(snap.high_water_bytes,
-                                lane->arena.high_water());
-    snap.resets_with_use += lane->arena.resets_with_use();
-  }
-  profiler_->SetArena(snap);
 }
 
 void Simulation::EnsureWorkers() {

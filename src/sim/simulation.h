@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/arena.h"
 #include "sim/time.h"
 
 namespace orderless::obs {
@@ -249,17 +248,8 @@ class Simulation {
 
   /// Registers a callback run single-threadedly at every epoch barrier (and
   /// once more when a run finishes): the hook point where sharded host
-  /// structures (validation memo, trace buffers) merge deterministically.
+  /// structures (trace buffers) merge deterministically.
   void AddEpochHook(std::function<void()> hook);
-
-  /// Host-side idle-work hook for parallel epochs: a worker (or the
-  /// coordinator) that runs out of lanes in the current epoch calls `work`
-  /// repeatedly until it returns false, then parks at the barrier. The
-  /// callback runs concurrently on multiple threads and must not touch
-  /// simulation state — it is the steal point for host-only work pools
-  /// (the commit pipeline drains published signature verifications here).
-  /// Epoch hooks never overlap it: the barrier joins every idle loop first.
-  void SetIdleWork(std::function<bool()> work);
 
   /// Points a lane at its private trace shard; tracer() returns it for code
   /// executing on that lane. Null (default) = record into the main tracer.
@@ -310,36 +300,20 @@ class Simulation {
   /// reservations into the one global heap.
   void ReserveEventsFor(ActorId dst, std::size_t n);
 
+  /// Host-side profiler hook (obs::Profiler): per-lane busy time and epoch
+  /// wall/barrier timing, sampled around the engine's own loops. Like the
+  /// tracer, the simulation does not own it; unlike the tracer, it measures
+  /// *host* time — simulated results stay bit-identical with or without one
+  /// attached. Every engine-side hook is gated on a single pointer test, so
+  /// detached runs pay nothing.
+  void SetProfiler(obs::Profiler* profiler);
+  obs::Profiler* profiler() const { return profiler_; }
+
   /// Observability hook. Components record through `tracer()` when it is
   /// non-null; the tracer never schedules events or influences protocol
   /// decisions, so attaching one cannot change a run's outcome. The
   /// simulation does not own the tracer. Inside a parallel epoch, tracer()
   /// resolves to the executing lane's shard (see SetLaneTracer).
-  /// Scratch arena of the lane executing the current event: null outside
-  /// events or with the arena perf toggle off, so callers branch to the heap
-  /// in exactly the places the toggle is meant to A/B. Allocations are
-  /// rewound when the event returns — nothing that outlives the event may
-  /// point into it (see sim/arena.h for the full contract).
-  static EpochArena* CurrentArena();
-
-  /// Peak within-event scratch across all lanes (bench/diagnostics).
-  std::size_t arena_high_water() const {
-    std::size_t peak = 0;
-    for (const auto& lane : lanes_) {
-      if (lane->arena.high_water() > peak) peak = lane->arena.high_water();
-    }
-    return peak;
-  }
-
-  /// Host-side profiler hook (obs::Profiler): per-lane busy time, epoch
-  /// wall/barrier timing and arena counters, sampled around the engine's
-  /// own loops. Like the tracer, the simulation does not own it; unlike
-  /// the tracer, it measures *host* time — simulated results stay
-  /// bit-identical with or without one attached. Every engine-side hook
-  /// is gated on a single pointer test, so detached runs pay nothing.
-  void SetProfiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const { return profiler_; }
-
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const {
     if (!parallel_storage_) return tracer_;  // shards exist only in parallel
@@ -383,6 +357,7 @@ class Simulation {
     bool empty() const { return heap.empty(); }
     std::size_t size() const { return heap.size(); }
     const Event& front() const { return heap.front(); }
+    std::size_t capacity() const { return heap.capacity(); }
     void Reserve(std::size_t n) {
       heap.reserve(heap.size() + n);
       slab.reserve(slab.size() + n);
@@ -409,8 +384,6 @@ class Simulation {
     std::uint64_t next_seq = 0;
     std::size_t processed = 0;
     obs::Tracer* shard = nullptr;
-    // Within-event scratch, rewound after every event this lane executes.
-    EpochArena arena;
     // Parallel-mode storage; sequential mode keeps everything in queue_.
     EventQueue queue;
     std::vector<PendingEvent> outbox;
@@ -440,7 +413,6 @@ class Simulation {
   void EnsureWorkers();
   void WorkerLoop();
   void DrainActiveLanes(std::vector<Lane*>& active, SimTime end);
-  void SampleProfilerArena();
 
   static thread_local Lane* tls_lane_;
 
@@ -465,7 +437,6 @@ class Simulation {
   bool in_epoch_ = false;
   SimTime epoch_end_ = 0;
   std::vector<std::function<void()>> epoch_hooks_;
-  std::function<bool()> idle_work_;
   std::unique_ptr<ParallelState> workers_;
 };
 

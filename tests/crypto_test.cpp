@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/perf.h"
 #include "crypto/pki.h"
 #include "crypto/sha256.h"
 
@@ -210,21 +209,6 @@ TEST(Sha256, HashBatchMatchesScalarAcrossKernels) {
       }
     }
   }
-}
-
-// With batch crypto disabled, HashBatch must still be correct (it falls back
-// to the scalar loop) — the --no-batch-crypto escape hatch relies on it.
-TEST(Sha256, HashBatchWithBatchCryptoDisabled) {
-  perf::ScopedBatchCrypto off(false);
-  const Bytes a = ToBytes("alpha");
-  const Bytes b = ToBytes("bravo-bravo-bravo-bravo");
-  const Bytes c;
-  const BytesView views[3] = {BytesView(a), BytesView(b), BytesView(c)};
-  Digest out[3];
-  Sha256::HashBatch(views, out, 3);
-  EXPECT_EQ(out[0], Sha256::Hash(BytesView(a)));
-  EXPECT_EQ(out[1], Sha256::Hash(BytesView(b)));
-  EXPECT_EQ(out[2], Sha256::Hash(BytesView(c)));
 }
 
 TEST(Pki, VerifyBatchMatchesScalarVerify) {

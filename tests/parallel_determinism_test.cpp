@@ -5,8 +5,11 @@
 // (time, dst, src, seq) order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,8 +17,7 @@
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "contracts/voting.h"
-#include "core/perf.h"
-#include "core/pipeline.h"
+#include "core/messages.h"
 #include "harness/experiment.h"
 #include "harness/orderless_net.h"
 #include "obs/export.h"
@@ -212,21 +214,22 @@ TEST(ParallelExperiment, CheckpointTracedRunBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Memoization on/off and tracing on/off must stay outcome-neutral under the
+// The shared verdict table and tracing must stay outcome-neutral under the
 // worker pool too, not just sequentially (obs_determinism_test covers
-// threads=1).
+// threads=1). At 4 threads org lanes race to fill the table; the run must
+// still equal the sequential one, which fills it in canonical order.
 TEST(ParallelExperiment, MemoAndTracingStayOutcomeNeutralAt4Threads) {
   const chaos::Scenario scenario = chaos::GenerateScenario(23);
   chaos::RunOptions plain;
   plain.threads = 4;
   const chaos::ChaosRunResult baseline = chaos::RunScenario(scenario, plain);
 
-  chaos::RunOptions unmemoized = plain;
-  unmemoized.memoize = false;
-  const chaos::ChaosRunResult uncached =
-      chaos::RunScenario(scenario, unmemoized);
-  EXPECT_EQ(uncached.fingerprint, baseline.fingerprint);
-  EXPECT_EQ(uncached.org_chain_heads, baseline.org_chain_heads);
+  chaos::RunOptions sequential_options;
+  sequential_options.threads = 1;
+  const chaos::ChaosRunResult sequential =
+      chaos::RunScenario(scenario, sequential_options);
+  EXPECT_EQ(sequential.fingerprint, baseline.fingerprint);
+  EXPECT_EQ(sequential.org_chain_heads, baseline.org_chain_heads);
 
   obs::Tracer tracer{obs::TracerConfig{}};
   chaos::RunOptions traced = plain;
@@ -237,46 +240,14 @@ TEST(ParallelExperiment, MemoAndTracingStayOutcomeNeutralAt4Threads) {
   EXPECT_GT(tracer.events().size(), 0u);
 }
 
-// The commit pipeline is a host-side optimization: disabling it via the
-// escape hatch must leave every simulated outcome bit-identical, at every
-// thread count, on both a generated chaos scenario and the byzantine-catchup
-// preset (the hub's hardest customer: attestation, equivocation, catch-up).
-TEST(ParallelPipeline, EscapeHatchStaysOutcomeNeutralAcrossThreadCounts) {
-  for (const chaos::Scenario& scenario :
-       {chaos::GenerateScenario(23), chaos::MakeByzantineCatchupScenario(1)}) {
-    chaos::RunOptions options;
-    options.threads = 1;
-    const chaos::ChaosRunResult baseline =
-        chaos::RunScenario(scenario, options);
-    for (unsigned threads : {2u, 4u, 8u}) {
-      options.threads = threads;
-      const chaos::ChaosRunResult on = chaos::RunScenario(scenario, options);
-      EXPECT_EQ(on.fingerprint, baseline.fingerprint)
-          << scenario.Describe() << " threads=" << threads << " pipeline=on";
-      EXPECT_EQ(on.org_chain_heads, baseline.org_chain_heads)
-          << scenario.Describe() << " threads=" << threads << " pipeline=on";
-
-      core::perf::ScopedPipeline scoped(false);
-      const chaos::ChaosRunResult off = chaos::RunScenario(scenario, options);
-      EXPECT_EQ(off.fingerprint, baseline.fingerprint)
-          << scenario.Describe() << " threads=" << threads << " pipeline=off";
-      EXPECT_EQ(off.org_chain_heads, baseline.org_chain_heads)
-          << scenario.Describe() << " threads=" << threads << " pipeline=off";
-      EXPECT_EQ(off.events_processed, on.events_processed)
-          << scenario.Describe() << " threads=" << threads;
-    }
-  }
-}
-
 // Conflict-ordering gate: transactions writing the same objects must commit
-// in canonical event order even with the pipeline live. Every vote in one
+// in canonical event order on the parallel engine. Every vote in one
 // election writes all of its party maps, so the eight votes below conflict
-// pairwise whenever they overlap in flight; the admission stage must hold
-// them on their org lane, giving the exact block sequence (and chain) the
-// sequential engine produces.
+// pairwise whenever they overlap in flight; each org lane must still append
+// them in the exact block sequence (and chain) the sequential engine
+// produces.
 TEST(ParallelPipeline, SameObjectCommitsStayInCanonicalOrder) {
-  const auto run = [](unsigned threads, bool pipeline, obs::Tracer* tracer) {
-    core::perf::ScopedPipeline scoped(pipeline);
+  const auto run = [](unsigned threads, obs::Tracer* tracer) {
     harness::OrderlessNetConfig config;
     config.num_orgs = 4;
     config.num_clients = 4;
@@ -315,19 +286,134 @@ TEST(ParallelPipeline, SameObjectCommitsStayInCanonicalOrder) {
     return order;
   };
 
-  const auto sequential = run(1, /*pipeline=*/false, nullptr);
+  const auto sequential = run(1, nullptr);
   obs::Tracer tracer{obs::TracerConfig{}};
-  const auto pipelined = run(4, /*pipeline=*/true, &tracer);
-  EXPECT_EQ(pipelined, sequential);
+  const auto parallel = run(4, &tracer);
+  EXPECT_EQ(parallel, sequential);
 
-  // Vacuity guard: the parallel run really saw conflicting write sets at
-  // admission (pipe_admit aux 0) — the ordering claim is not satisfied by
-  // the transactions never overlapping.
-  std::size_t conflicting = 0;
+  // Vacuity guard: the parallel run really had same-object commits in flight
+  // together — some org admitted a commit before its previous admission was
+  // appended — so the ordering claim is not satisfied by the transactions
+  // never overlapping.
+  struct Admission {
+    sim::SimTime admitted = 0;
+    sim::SimTime appended = 0;
+  };
+  std::map<std::uint32_t, std::map<std::uint64_t, Admission>> by_org;
   for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind == obs::EventKind::kPipeAdmit && e.aux == 0) ++conflicting;
+    if (e.kind == obs::EventKind::kPipeAdmit) {
+      by_org[e.actor][e.tx].admitted = e.ts;
+    } else if (e.kind == obs::EventKind::kLedgerAppend) {
+      by_org[e.actor][e.tx].appended = e.ts;
+    }
   }
-  EXPECT_GT(conflicting, 0u);
+  std::size_t overlapping = 0;
+  for (const auto& [org, admissions] : by_org) {
+    for (const auto& [tx, a] : admissions) {
+      for (const auto& [other_tx, b] : admissions) {
+        if (tx != other_tx && a.admitted < b.admitted &&
+            b.admitted < a.appended) {
+          ++overlapping;
+        }
+      }
+    }
+  }
+  EXPECT_GT(overlapping, 0u);
+}
+
+// Restart then sync, on the parallel engine: a restarted org reloads its
+// committed bodies from the ledger, and every anti-entropy reply it sends
+// shares those same objects. Peers that missed some of them (gossip is off
+// and they were not in those commit sets) all sync from the restarted org
+// at the same simulated instant (zero jitter, negligible serialization), so
+// several lanes validate the same reloaded objects in the same epochs.
+// Recovery seals each reloaded body first; the TSan job runs this test to
+// prove those validation reads never write.
+TEST(ParallelRecovery, ReloadedBodiesSyncToTwoPeersAtOnce) {
+  using Chain = std::vector<crypto::Digest>;
+  const auto valid_ids = [](const core::Organization& org) {
+    std::set<crypto::Digest> ids;
+    for (const ledger::Block& b : org.ledger().log().blocks()) {
+      if (b.valid) ids.insert(b.tx_digest);
+    }
+    return ids;
+  };
+  const auto run = [&valid_ids](unsigned threads) {
+    harness::OrderlessNetConfig config;
+    config.num_orgs = 4;
+    config.num_clients = 4;
+    config.policy = core::EndorsementPolicy{2, 4};
+    config.net.one_way_latency = sim::Ms(5);
+    config.net.jitter_stddev_ms = 0;
+    config.net.bandwidth_bps = 1e15;
+    config.org_timing.gossip_fanout = 0;
+    // Anti-entropy on (so recovery reloads bodies and peers answer
+    // summaries), but its own timer never fires inside this run.
+    config.org_timing.antientropy_interval = sim::Sec(1000);
+    config.seed = 31;
+    config.threads = threads;
+    harness::OrderlessNet net(config);
+    net.RegisterContract(std::make_shared<contracts::VotingContract>());
+    net.Start();
+    // Enough commits that each peer's share of the sync keeps its lane busy
+    // for a while in every epoch, so the worker threads run lanes at once.
+    for (std::int64_t vote = 0; vote < 120; ++vote) {
+      net.client(static_cast<std::size_t>(vote) % net.client_count())
+          .SubmitModify("voting", "Vote",
+                        {crdt::Value("e"), crdt::Value(vote % 4),
+                         crdt::Value(std::int64_t{4})},
+                        [](const core::TxOutcome&) {});
+    }
+    net.simulation().RunUntil(sim::Sec(5));
+
+    // The restarted org: one that committed the most; the peers: every org
+    // that is missing something it has.
+    std::size_t restarted = 0;
+    for (std::size_t i = 1; i < net.org_count(); ++i) {
+      if (net.org(i).ledger().committed_valid() >
+          net.org(restarted).ledger().committed_valid()) {
+        restarted = i;
+      }
+    }
+    const std::set<crypto::Digest> have = valid_ids(net.org(restarted));
+    std::vector<std::size_t> peers;
+    for (std::size_t i = 0; i < net.org_count(); ++i) {
+      const std::set<crypto::Digest> own = valid_ids(net.org(i));
+      if (i != restarted &&
+          !std::includes(own.begin(), own.end(), have.begin(), have.end())) {
+        peers.push_back(i);
+      }
+    }
+    EXPECT_GE(peers.size(), 2u) << "vacuous: too few peers missed a commit";
+
+    EXPECT_TRUE(net.RestartOrg(restarted));
+    for (const std::size_t peer : peers) {
+      auto summary = std::make_shared<core::SummaryMsg>();
+      summary->tx_count = have.size();
+      net.network().Send(net.org_node(restarted), net.org_node(peer),
+                         summary);
+    }
+    net.simulation().RunUntil(sim::Sec(10));
+
+    std::vector<Chain> chains;
+    for (std::size_t i = 0; i < net.org_count(); ++i) {
+      const std::set<crypto::Digest> own = valid_ids(net.org(i));
+      EXPECT_TRUE(
+          std::includes(own.begin(), own.end(), have.begin(), have.end()))
+          << "org " << i << " did not catch up, threads " << threads;
+      Chain chain;
+      for (const ledger::Block& b : net.org(i).ledger().log().blocks()) {
+        chain.push_back(b.tx_digest);
+      }
+      chains.push_back(std::move(chain));
+    }
+    return chains;
+  };
+
+  const std::vector<Chain> sequential = run(1);
+  for (const unsigned threads : {2u, 4u}) {
+    EXPECT_EQ(run(threads), sequential) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -135,12 +135,12 @@ TEST(TimelineUnit, CleanSingleTxSegmentsAndAttribution) {
 
 TEST(TimelineUnit, PipeAdmitSplitsCommitWireIntoQueueLeg) {
   std::vector<TraceEvent> ev = CleanSingleTx();
-  // Commit-pipeline admission instants at both committers, recorded after
-  // the commit sends and before the validate spans. The critical committer
-  // (org 2) admitted at 1390: the wire leg must end there and the
-  // dedup/queueing gap until validate start becomes its own leg.
-  ev.insert(ev.begin() + 10, Instant(EventKind::kPipeAdmit, 1385, 1, 0x7A1D, 1));
-  ev.insert(ev.begin() + 11, Instant(EventKind::kPipeAdmit, 1390, 2, 0x7A1D, 1));
+  // Commit admission instants at both committers, recorded after the commit
+  // sends and before the validate spans. The critical committer (org 2)
+  // admitted at 1390: the wire leg must end there and the dedup/queueing
+  // gap until validate start becomes its own leg.
+  ev.insert(ev.begin() + 10, Instant(EventKind::kPipeAdmit, 1385, 1, 0x7A1D, 0));
+  ev.insert(ev.begin() + 11, Instant(EventKind::kPipeAdmit, 1390, 2, 0x7A1D, 0));
   const obs::TimelineSet set = obs::BuildTimelines(ev);
   ASSERT_EQ(set.txs.size(), 1u);
   EXPECT_EQ(set.orphan_org_events, 0u);

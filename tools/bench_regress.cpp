@@ -14,12 +14,24 @@
 //     sensitive to allocator warm-up, so it gets a loose 30% band.
 //   * Unknown numeric fields default to info-only; a field must be
 //     classified here before it can break CI.
+//   * A baseline point or field absent from the current run fails the gate
+//     when it carries a gated (non-info-only) metric: deleting a measurement
+//     must not silently drop its check (re-seed the baseline with --update
+//     when the deletion is intended). Absent info-only data is listed but
+//     does not gate — there is no check to drop, and host-dependent rows
+//     (e.g. a SHA-NI kernel on a CPU without it) may legitimately vanish.
+//   * A top-level "<metric>_at_<N>_threads" field is a parallel-speedup
+//     claim. A baseline recorded with meta.host_threads below N cannot back
+//     it, so such a baseline is refused (exit 2), and --update will not
+//     write one.
 //
 // Usage:
 //   bench_regress --baselines DIR [--update] [--report FILE] FILES...
 //   bench_regress --self-test
 //
-// Exit codes: 0 ok, 1 regression (or self-test failure), 2 usage/IO error.
+// Exit codes: 0 ok, 1 regression or missing baseline data (or self-test
+// failure), 2 usage/IO error or a refused baseline.
+#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -115,6 +127,9 @@ double BandOf(MetricClass cls) {
 /// e.g. {"name": "latency", "org": "org2"} and the org3 row stay distinct.
 struct FlatBench {
   std::string bench;
+  // meta.host_threads: the core count the document was recorded on (0 when
+  // the document carries no meta header).
+  unsigned host_threads = 0;
   // point key -> (metric key -> value). std::map for deterministic order.
   std::map<std::string, std::map<std::string, double>> points;
 };
@@ -139,6 +154,14 @@ bool Flatten(const json::JsonValue& doc, const std::string& label,
     return false;
   }
   out.bench = bench->string;
+  if (const json::JsonValue* meta = doc.Find("meta")) {
+    if (const json::JsonValue* threads = meta->Find("host_threads")) {
+      if (threads->type == json::JsonValue::Type::kNumber &&
+          threads->number > 0) {
+        out.host_threads = static_cast<unsigned>(threads->number);
+      }
+    }
+  }
   // Top-level scalars live under a reserved point key so they participate in
   // comparison exactly like point fields ("meta" and "points" excluded).
   for (const auto& [k, v] : doc.object) {
@@ -175,12 +198,72 @@ struct Verdict {
   int regressions = 0;
   int improvements = 0;
   int info = 0;
-  int missing = 0;
+  int missing = 0;  // gated baseline points/fields absent from the run
   std::vector<std::string> lines;  // human log, also mirrored to --report
+
+  bool Passes() const { return regressions == 0 && missing == 0; }
 };
+
+/// N for a "<metric>_at_<N>_threads" key, 0 for any other key.
+unsigned ClaimedThreads(const std::string& key) {
+  constexpr char kSuffix[] = "_threads";
+  constexpr std::size_t kSuffixLen = sizeof kSuffix - 1;
+  if (!EndsWith(key, kSuffix)) return 0;
+  const std::size_t end = key.size() - kSuffixLen;
+  std::size_t start = end;
+  while (start > 0 &&
+         std::isdigit(static_cast<unsigned char>(key[start - 1]))) {
+    --start;
+  }
+  if (start == end || start < 4 || key.compare(start - 4, 4, "_at_") != 0) {
+    return 0;
+  }
+  return static_cast<unsigned>(std::strtoul(key.c_str() + start, nullptr, 10));
+}
+
+/// One line per top-level claim field that `doc`'s host_threads cannot back;
+/// empty when the document may serve as a baseline.
+std::vector<std::string> UnbackedClaims(const FlatBench& doc) {
+  std::vector<std::string> problems;
+  const auto scalars = doc.points.find("<scalars>");
+  if (scalars == doc.points.end()) return problems;
+  for (const auto& [key, value] : scalars->second) {
+    (void)value;
+    const unsigned claimed = ClaimedThreads(key);
+    if (claimed > doc.host_threads) {
+      problems.push_back(doc.bench + " / " + key + ": claims " +
+                         std::to_string(claimed) +
+                         " threads but was recorded with host_threads " +
+                         std::to_string(doc.host_threads));
+    }
+  }
+  return problems;
+}
+
+/// Prints the refusal for `label` and returns true when `doc` carries a
+/// claim its recording host could not back.
+bool RefuseUnbacked(const FlatBench& doc, const std::string& label) {
+  const std::vector<std::string> problems = UnbackedClaims(doc);
+  for (const std::string& problem : problems) {
+    std::fprintf(stderr, "bench_regress: %s refused as a baseline: %s\n",
+                 label.c_str(), problem.c_str());
+  }
+  return !problems.empty();
+}
 
 void Note(Verdict& v, const char* tag, const std::string& what) {
   v.lines.push_back(std::string("[") + tag + "] " + what);
+}
+
+bool Gated(const std::string& key) {
+  Direction direction;
+  return Classify(key, &direction) != MetricClass::kInfoOnly;
+}
+
+/// Records baseline data the current run lacks; only gated data counts.
+void NoteMissing(Verdict& v, bool gated, const std::string& what) {
+  if (gated) ++v.missing;
+  Note(v, gated ? "MISSING" : "MISSING-INFO", what);
 }
 
 /// Compares one current bench document against its baseline.
@@ -188,16 +271,19 @@ void Compare(const FlatBench& base, const FlatBench& cur, Verdict& v) {
   for (const auto& [point, base_fields] : base.points) {
     const auto cur_it = cur.points.find(point);
     if (cur_it == cur.points.end()) {
-      ++v.missing;
-      Note(v, "MISSING", base.bench + " / " + point +
-                             ": point absent from current run");
+      bool gated = false;
+      for (const auto& [key, value] : base_fields) {
+        (void)value;
+        gated = gated || Gated(key);
+      }
+      NoteMissing(v, gated, base.bench + " / " + point +
+                                ": point absent from current run");
       continue;
     }
     for (const auto& [key, base_value] : base_fields) {
       const auto field_it = cur_it->second.find(key);
       if (field_it == cur_it->second.end()) {
-        ++v.missing;
-        Note(v, "MISSING", base.bench + " / " + point + " / " + key);
+        NoteMissing(v, Gated(key), base.bench + " / " + point + " / " + key);
         continue;
       }
       const double cur_value = field_it->second;
@@ -278,9 +364,17 @@ bool WriteReport(const std::string& path, const Verdict& v, bool ok) {
   return out.good();
 }
 
-/// Self-test: builds a synthetic baseline/current pair in memory with (a) a
-/// 2x p99_ms regression and (b) an exact-count mismatch, and checks both are
-/// caught while an info-only wall_ms doubling is not. Guards the gate itself.
+bool ParseFlat(const char* text, const char* label, FlatBench& out) {
+  json::JsonValue doc;
+  return json::ParseDocument(text, label, doc) && Flatten(doc, label, out);
+}
+
+/// Self-test: builds synthetic baseline/current pairs in memory and checks
+/// that (a) a 2x p99_ms regression and an exact-count mismatch are caught
+/// while an info-only wall_ms doubling is not, (b) a baseline point or
+/// field absent from the current run fails the gate, and (c) a baseline
+/// whose "_at_<N>_threads" claim exceeds its host_threads is refused.
+/// Guards the gate itself.
 int SelfTest() {
   const char* base_text = R"({
   "bench": "selftest",
@@ -342,6 +436,62 @@ int SelfTest() {
   expect(!logged("FAIL", "p50_ms"), "in-band p50_ms drift must not gate");
   expect(!logged("FAIL", "commit_tps"), "in-band tps drift must not gate");
   expect(v.missing == 0, "no fields should be missing");
+
+  // (b) Deleting a gated measurement must fail the gate, not pass as
+  // MISSING; deleted info-only data is listed but does not gate.
+  FlatBench base_b;
+  FlatBench cur_b;
+  if (!ParseFlat(R"({"bench": "selftest", "points": [
+        {"name": "kept", "committed": 10, "dropped_ms": 5.0, "wall_ms": 2.0},
+        {"name": "deleted", "committed": 3},
+        {"name": "host_only", "wall_ms": 7.0, "ns_per_op": 9.0}]})",
+                 "selftest-missing-baseline", base_b) ||
+      !ParseFlat(R"({"bench": "selftest", "points": [
+        {"name": "kept", "committed": 10}]})",
+                 "selftest-missing-current", cur_b)) {
+    return 1;
+  }
+  Verdict missing;
+  Compare(base_b, cur_b, missing);
+  for (const std::string& line : missing.lines) std::printf("%s\n", line.c_str());
+  expect(missing.regressions == 0, "missing data is not a value regression");
+  expect(missing.missing == 2,
+         "expected a missing gated point and a missing gated field");
+  expect(!missing.Passes(), "missing gated baseline data must fail the gate");
+  int info_lines = 0;
+  for (const std::string& line : missing.lines) {
+    info_lines += line.rfind("[MISSING-INFO]", 0) == 0 ? 1 : 0;
+  }
+  expect(info_lines == 2, "missing info-only data must be listed, not gated");
+
+  // (c) Speedup claims must be backed by the recording host's core count.
+  const struct {
+    const char* text;
+    bool refused;
+    const char* what;
+  } claims[] = {
+      {R"({"bench": "c", "meta": {"host_threads": 1},
+           "speedup_at_4_threads": 2.0})",
+       true, "a 4-thread claim recorded on 1 host thread must be refused"},
+      {R"({"bench": "c", "meta": {"host_threads": 4},
+           "speedup_at_4_threads": 2.0, "gain_at_8_threads": 1.1})",
+       true, "an 8-thread claim recorded on 4 host threads must be refused"},
+      {R"({"bench": "c", "speedup_at_4_threads": 2.0})", true,
+       "a claim without meta.host_threads must be refused"},
+      {R"({"bench": "c", "meta": {"host_threads": 4},
+           "speedup_at_4_threads": 2.0, "threads": 8,
+           "points": [{"name": "p", "speedup_at_8_threads": 1.0}]})",
+       false, "a backed top-level claim (point fields are not claims) "
+              "must be accepted"},
+  };
+  for (const auto& c : claims) {
+    FlatBench doc;
+    if (!ParseFlat(c.text, "selftest-claims", doc)) return 1;
+    expect(!UnbackedClaims(doc).empty() == c.refused, c.what);
+  }
+  expect(ClaimedThreads("fig6b_speedup_at_4_threads") == 4,
+         "claim key parse");
+  expect(ClaimedThreads("hardware_threads") == 0, "non-claim key parse");
   std::printf("self-test %s\n", failures == 0 ? "passed" : "FAILED");
   return failures == 0 ? 0 : 1;
 }
@@ -391,9 +541,19 @@ int main(int argc, char** argv) {
 
   Verdict verdict;
   int io_errors = 0;
+  int refused = 0;
   for (const std::string& file : files) {
     const std::string baseline = baselines_dir + "/" + Basename(file);
     if (update) {
+      FlatBench candidate;
+      if (!LoadFlat(file, candidate)) {
+        ++io_errors;
+        continue;
+      }
+      if (RefuseUnbacked(candidate, file)) {
+        ++refused;
+        continue;
+      }
       if (!CopyFile(file, baseline)) {
         std::fprintf(stderr, "bench_regress: cannot update %s\n",
                      baseline.c_str());
@@ -417,6 +577,10 @@ int main(int argc, char** argv) {
       ++io_errors;
       continue;
     }
+    if (RefuseUnbacked(base, baseline)) {
+      ++refused;
+      continue;
+    }
     if (base.bench != cur.bench) {
       std::fprintf(stderr, "bench_regress: %s is bench \"%s\" but baseline "
                            "is \"%s\"\n",
@@ -430,16 +594,16 @@ int main(int argc, char** argv) {
   for (const std::string& line : verdict.lines) {
     std::printf("%s\n", line.c_str());
   }
-  const bool ok = verdict.regressions == 0 && io_errors == 0;
+  const bool ok = verdict.Passes() && io_errors == 0 && refused == 0;
   std::printf("bench_regress: %d regression(s), %d improvement(s), "
-              "%d missing, %d file error(s) -> %s\n",
+              "%d missing, %d file error(s), %d refused baseline(s) -> %s\n",
               verdict.regressions, verdict.improvements, verdict.missing,
-              io_errors, ok ? "OK" : "FAIL");
+              io_errors, refused, ok ? "OK" : "FAIL");
   if (!report_path.empty() && !WriteReport(report_path, verdict, ok)) {
     std::fprintf(stderr, "bench_regress: cannot write %s\n",
                  report_path.c_str());
     return 2;
   }
-  if (io_errors > 0) return 2;
+  if (io_errors > 0 || refused > 0) return 2;
   return ok ? 0 : 1;
 }

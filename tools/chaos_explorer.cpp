@@ -39,7 +39,6 @@
 #include "chaos/minimize.h"
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
-#include "common/perf.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -61,10 +60,6 @@ using orderless::chaos::Violation;
 namespace obs = orderless::obs;
 
 constexpr std::size_t kFailureTailEvents = 40;
-
-// --no-memo: RunScenario scopes the memo switch per run (RunOptions), so the
-// flag must ride through every options construction, not just the globals.
-bool g_memoize = true;
 
 void PrintViolations(const ChaosRunResult& result) {
   for (const Violation& v : result.violations) {
@@ -171,7 +166,6 @@ int RunOne(std::uint64_t seed, bool replay_check, bool minimize, bool verbose,
   if (verbose) std::printf("%s", scenario.Describe().c_str());
   RunOptions options;
   options.tracer = tracer;
-  options.memoize = g_memoize;
   options.threads = threads;
   const ChaosRunResult result = RunScenario(scenario, options);
   if (!result.ok()) {
@@ -209,7 +203,6 @@ int RunSweep(std::uint64_t count, bool minimize, obs::Tracer* tracer,
     if (tracer != nullptr) tracer->Clear();  // one trace buffer per seed
     RunOptions options;
     options.tracer = tracer;
-    options.memoize = g_memoize;
     options.threads = threads;
     const ChaosRunResult result = RunScenario(scenario, options);
     if (!result.ok()) {
@@ -253,7 +246,6 @@ int RunByzantineSweep(std::uint64_t count, bool minimize, obs::Tracer* tracer,
     if (tracer != nullptr) tracer->Clear();
     RunOptions options;
     options.tracer = tracer;
-    options.memoize = g_memoize;
     options.threads = threads;
     const ChaosRunResult result = RunScenario(scenario, options);
     if (!result.ok()) {
@@ -283,7 +275,6 @@ int RunPreset(const Scenario& scenario, const char* name, bool replay_check,
   std::printf("%s", scenario.Describe().c_str());
   RunOptions options;
   options.tracer = tracer;
-  options.memoize = g_memoize;
   options.threads = threads;
   const ChaosRunResult result = RunScenario(scenario, options);
   if (!result.ok()) {
@@ -330,7 +321,6 @@ int RunUnsafeDemo(std::uint64_t seed, obs::Tracer* tracer, unsigned threads) {
   std::printf("%s", scenario.Describe().c_str());
   RunOptions options;
   options.tracer = tracer;
-  options.memoize = g_memoize;
   options.threads = threads;
   const ChaosRunResult result = RunScenario(scenario, options);
   if (result.ok()) {
@@ -365,7 +355,6 @@ int main(int argc, char** argv) {
   std::uint64_t threads = 1;
   std::string trace_path, trace_filter, metrics_path, minimized_out;
   std::string report_mode_name, report_json_path;
-  orderless::perf::ToggleRequest toggles;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -420,14 +409,6 @@ int main(int argc, char** argv) {
       next_str(trace_filter);
     } else if (arg == "--metrics-json") {
       next_str(metrics_path);
-    } else if (arg == "--no-memo") {
-      toggles.no_memo = true;
-    } else if (arg == "--no-arena") {
-      toggles.no_arena = true;
-    } else if (arg == "--no-batch-crypto") {
-      toggles.no_batch_crypto = true;
-    } else if (arg == "--no-pipeline") {
-      toggles.no_pipeline = true;
     } else {
       std::fprintf(
           stderr,
@@ -439,26 +420,10 @@ int main(int argc, char** argv) {
           "[--minimized-out PATH] [--verbose] [--threads N] "
           "[--trace PATH] "
           "[--trace-filter K,K] [--metrics-json PATH] "
-          "[--report summary|timelines|full] [--report-json PATH] "
-          "[--no-memo] [--no-arena] [--no-batch-crypto] [--no-pipeline]\n");
+          "[--report summary|timelines|full] [--report-json PATH]\n");
       return 2;
     }
   }
-
-  // Escape hatches: reject contradictory combinations up front (exit 2 with
-  // the listing), then flip the process-wide switches. --no-memo also rides
-  // through RunOptions because the runner scopes the memo switch per run.
-  const std::vector<std::string> toggle_conflicts =
-      orderless::perf::ToggleConflicts(toggles);
-  if (!toggle_conflicts.empty()) {
-    std::fprintf(stderr, "contradictory toggle combination:\n");
-    for (const std::string& conflict : toggle_conflicts) {
-      std::fprintf(stderr, "  %s\n", conflict.c_str());
-    }
-    return 2;
-  }
-  orderless::perf::ApplyToggles(toggles);
-  g_memoize = !toggles.no_memo;
 
   // --report implies tracing: the report is reconstructed from the trace
   // buffer, and unlike the failure triage it renders on success too.

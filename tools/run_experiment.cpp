@@ -11,7 +11,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/perf.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "obs/export.h"
@@ -40,19 +39,14 @@ void Usage() {
       "  --threads N          simulation worker threads (orderless only;\n"
       "                       results are bit-identical at any N)\n"
       "  --prof               host-side engine profile (lane utilization,\n"
-      "                       barrier wait, arena + batch-crypto counters;\n"
-      "                       orderless only, simulated results unchanged)\n"
+      "                       barrier wait, scratch-pool + batch-crypto\n"
+      "                       counters; orderless only, simulated results\n"
+      "                       unchanged)\n"
       "  --trace PATH         write Chrome trace-event JSON (Perfetto)\n"
       "  --trace-jsonl PATH   write one JSON object per trace event\n"
       "  --trace-filter K,K   only record the named event kinds\n"
       "  --metrics-json PATH  write the metrics registry as JSON\n"
-      "  (tracing covers the orderless system only)\n"
-      "  --no-memo --no-arena --no-batch-crypto --no-pipeline\n"
-      "                       escape hatches: disable one host-side\n"
-      "                       optimization layer (simulated results are\n"
-      "                       identical either way). Contradictory\n"
-      "                       combinations (e.g. --no-arena with --prof)\n"
-      "                       are rejected with exit 2.\n");
+      "  (tracing covers the orderless system only)\n");
 }
 
 bool ParseSystem(const std::string& s, harness::SystemKind& out) {
@@ -83,7 +77,6 @@ int main(int argc, char** argv) {
   std::uint32_t q = 4;
   std::string trace_path, trace_jsonl_path, trace_filter, metrics_path;
   bool profiling = false;
-  perf::ToggleRequest toggles;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -150,14 +143,6 @@ int main(int argc, char** argv) {
       config.threads = static_cast<unsigned>(std::atoi(next()));
     } else if (arg == "--prof") {
       profiling = true;
-    } else if (arg == "--no-memo") {
-      toggles.no_memo = true;
-    } else if (arg == "--no-arena") {
-      toggles.no_arena = true;
-    } else if (arg == "--no-batch-crypto") {
-      toggles.no_batch_crypto = true;
-    } else if (arg == "--no-pipeline") {
-      toggles.no_pipeline = true;
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--trace-jsonl") {
@@ -173,17 +158,6 @@ int main(int argc, char** argv) {
     }
   }
   config.policy = core::EndorsementPolicy{q, config.num_orgs};
-
-  toggles.profiling = profiling;
-  const std::vector<std::string> conflicts = perf::ToggleConflicts(toggles);
-  if (!conflicts.empty()) {
-    std::fprintf(stderr, "contradictory toggle combination:\n");
-    for (const std::string& conflict : conflicts) {
-      std::fprintf(stderr, "  %s\n", conflict.c_str());
-    }
-    return 2;
-  }
-  perf::ApplyToggles(toggles);
 
   const bool tracing = !trace_path.empty() || !trace_jsonl_path.empty();
   obs::TracerConfig tracer_config;
