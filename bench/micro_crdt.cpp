@@ -78,6 +78,34 @@ void BM_MapIncrementalReadEveryOp(benchmark::State& state) {
 }
 BENCHMARK(BM_MapIncrementalReadEveryOp)->Arg(100)->Arg(1000);
 
+// One assign and one read per iteration on a register that N concurrent
+// clients keep N values wide, so the per-op cost shows as N grows.
+void BM_MVRegisterWide(benchmark::State& state) {
+  const auto width = static_cast<std::uint64_t>(state.range(0));
+  const auto reg = crdt::NewNode(crdt::CrdtType::kMVRegister);
+  crdt::Operation op;
+  op.kind = crdt::OpKind::kAssignValue;
+  op.value_type = crdt::CrdtType::kMVRegister;
+  for (std::uint64_t client = 1; client <= width; ++client) {
+    op.clock = clk::OpClock{client, 1};
+    op.value = crdt::Value(static_cast<std::int64_t>(client));
+    reg->Apply(op, 0);
+  }
+  std::uint64_t counter = 1;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    // Each assignment replaces its client's entry, so the width stays N.
+    const std::uint64_t client = 1 + i % width;
+    if (client == 1) ++counter;
+    op.clock = clk::OpClock{client, counter};
+    op.value = crdt::Value(static_cast<std::int64_t>(i++));
+    benchmark::DoNotOptimize(reg->Apply(op, 0));
+    benchmark::DoNotOptimize(reg->ReadAt({}, 0).values.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MVRegisterWide)->Arg(10)->Arg(100)->Arg(1000);
+
 void BM_StateMerge(benchmark::State& state) {
   const auto ops = MakeMapOps(static_cast<std::size_t>(state.range(0)));
   crdt::CrdtObject a("bench", crdt::CrdtType::kMap);

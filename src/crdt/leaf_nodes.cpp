@@ -1,6 +1,8 @@
 #include "crdt/leaf_nodes.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 namespace orderless::crdt {
@@ -148,20 +150,48 @@ void PNCounterNode::MergeFrom(const CrdtNode& other) {
 
 // -------------------------------------------------------------- MV-Register
 
+void MVRegisterNode::Insert(const clk::OpClock& clock, const Value& v) {
+  if (candidates_.emplace(clock, v).second) values_.insert(v);
+}
+
+void MVRegisterNode::Erase(Candidates::const_iterator first,
+                           Candidates::const_iterator last) {
+  for (auto it = first; it != last; ++it) {
+    values_.erase(values_.find(it->second));
+  }
+  candidates_.erase(first, last);
+}
+
 void MVRegisterNode::Assign(const Value& v, const clk::OpClock& clock) {
   // Keep the maximal antichain: skip if dominated, drop what we dominate.
-  for (const auto& [c, existing] : candidates_) {
-    (void)existing;
-    if (clk::HappenedBefore(clock, c)) return;
-  }
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    if (clk::HappenedBefore(it->first, clock)) {
-      it = candidates_.erase(it);
-    } else {
-      ++it;
+  // clk::Compare relates two clocks only when they share a client or one is
+  // the implicit (0,0) clock, so no other candidate can matter.
+  if (clock.IsImplicit()) {
+    // Every explicit clock dominates it, and it dominates nothing. Implicit
+    // entries sort first, so the last entry is explicit iff any is.
+    if (candidates_.empty() || candidates_.rbegin()->first.IsImplicit()) {
+      Insert(clock, v);
     }
+    return;
   }
-  candidates_.emplace(clock, v);
+  // The client's run is ordered by counter, so its last entry decides
+  // dominance. Client 0's run starts with the implicit entries, whose
+  // counter 0 is below every explicit client-0 counter. The last client id
+  // has no successor to bound its run.
+  const bool last_client =
+      clock.client == std::numeric_limits<std::uint64_t>::max();
+  const auto run = candidates_.lower_bound(clk::OpClock{clock.client, 0});
+  const auto run_end =
+      last_client ? candidates_.end()
+                  : candidates_.lower_bound(clk::OpClock{clock.client + 1, 0});
+  if (run != run_end && std::prev(run_end)->first.counter > clock.counter) {
+    return;
+  }
+  // Drop the run's lower counters, then the implicit front (already gone
+  // when the run is client 0's).
+  Erase(run, candidates_.lower_bound(clock));
+  Erase(candidates_.begin(), candidates_.lower_bound(clk::OpClock{0, 1}));
+  Insert(clock, v);
 }
 
 bool MVRegisterNode::Apply(const Operation& op, std::size_t depth) {
@@ -176,12 +206,8 @@ ReadResult MVRegisterNode::ReadAt(const std::vector<std::string>& path,
   if (depth != path.size()) return r;
   r.type = CrdtType::kMVRegister;
   r.exists = true;
-  r.values.reserve(candidates_.size());
-  for (const auto& [clock, value] : candidates_) {
-    (void)clock;
-    r.values.push_back(value);
-  }
-  std::sort(r.values.begin(), r.values.end());
+  r.values.reserve(values_.size());
+  for (const Value& v : values_) r.values.push_back(v);
   return r;
 }
 
@@ -199,9 +225,9 @@ std::unique_ptr<MVRegisterNode> MVRegisterNode::Decode(codec::Reader& r) {
   auto node = std::make_unique<MVRegisterNode>();
   for (std::uint64_t i = 0; i < *n; ++i) {
     const auto clock = clk::OpClock::Decode(r);
-    auto value = Value::Decode(r);
+    const auto value = Value::Decode(r);
     if (!clock || !value) return nullptr;
-    node->candidates_.emplace(*clock, std::move(*value));
+    node->Insert(*clock, *value);
   }
   return node;
 }
@@ -209,6 +235,7 @@ std::unique_ptr<MVRegisterNode> MVRegisterNode::Decode(codec::Reader& r) {
 std::unique_ptr<CrdtNode> MVRegisterNode::Clone() const {
   auto node = std::make_unique<MVRegisterNode>();
   node->candidates_ = candidates_;
+  node->values_ = values_;
   return node;
 }
 

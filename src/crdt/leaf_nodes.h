@@ -76,6 +76,12 @@ class PNCounterNode final : public CrdtNode {
 
 /// Multi-value register: keeps the maximal antichain of assignments under
 /// happened-before; concurrent assignments all survive (paper Fig. 4).
+///
+/// Two indexes hold the same entries. `candidates_` is ordered by (client,
+/// counter, value): Encode walks it and Assign searches only the implicit
+/// front and the incoming client's run, the only entries clk::Compare can
+/// relate to the incoming clock. `values_` keeps the values presorted for
+/// ReadAt.
 class MVRegisterNode final : public CrdtNode {
  public:
   CrdtType type() const override { return CrdtType::kMVRegister; }
@@ -93,7 +99,32 @@ class MVRegisterNode final : public CrdtNode {
   static std::unique_ptr<MVRegisterNode> Decode(codec::Reader& r);
 
  private:
-  std::set<std::pair<clk::OpClock, Value>> candidates_;
+  using Candidate = std::pair<clk::OpClock, Value>;
+  // Orders candidates by (client, counter, value). A bare clock compares
+  // with a candidate by clock alone, so lower_bound(clock) finds the first
+  // candidate at or after that clock.
+  struct CandidateLess {
+    using is_transparent = void;
+    bool operator()(const Candidate& a, const Candidate& b) const {
+      return a < b;
+    }
+    bool operator()(const Candidate& a, const clk::OpClock& b) const {
+      return a.first < b;
+    }
+    bool operator()(const clk::OpClock& a, const Candidate& b) const {
+      return a < b.first;
+    }
+  };
+  using Candidates = std::set<Candidate, CandidateLess>;
+
+  // Every entry is added or dropped through these two (Clone copies both
+  // indexes), which keep `values_` equal to the values in `candidates_`.
+  void Insert(const clk::OpClock& clock, const Value& v);
+  void Erase(Candidates::const_iterator first,
+             Candidates::const_iterator last);
+
+  Candidates candidates_;
+  std::multiset<Value> values_;
 };
 
 /// Last-writer-wins register extension: total order on (counter, client,

@@ -4,7 +4,12 @@
 // canonical states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+
 #include "common/rng.h"
+#include "crdt/leaf_nodes.h"
 #include "crdt/object.h"
 
 namespace orderless::crdt {
@@ -264,6 +269,200 @@ TEST(ConvergenceMerge, LeafTypesMerge) {
     a.MergeState(b);
     ASSERT_EQ(a.EncodeState(), expected.EncodeState())
         << CrdtTypeName(type);
+  }
+}
+
+// MVRegisterNode's state layout: the count, then each (clock, value) pair.
+template <typename Entries>
+Bytes EncodeRegisterEntries(const Entries& entries) {
+  codec::Writer w;
+  w.PutVarint(entries.size());
+  for (const auto& [clock, value] : entries) {
+    clock.Encode(w);
+    value.Encode(w);
+  }
+  return w.Take();
+}
+
+// The MV-register rule by definition: skip an assignment that happened-before
+// any candidate, else drop every candidate that happened-before it. It scans
+// every candidate twice per assignment; MVRegisterNode::Assign searches only
+// the entries clk::Compare can relate, and must agree with this model on
+// every state, antichain or not.
+struct FullScanRegister {
+  std::set<std::pair<clk::OpClock, Value>> candidates;
+
+  void Assign(const Value& v, const clk::OpClock& clock) {
+    for (const auto& entry : candidates) {
+      if (clk::HappenedBefore(clock, entry.first)) return;
+    }
+    std::erase_if(candidates, [&](const auto& entry) {
+      return clk::HappenedBefore(entry.first, clock);
+    });
+    candidates.emplace(clock, v);
+  }
+
+  Bytes Encode() const { return EncodeRegisterEntries(candidates); }
+
+  std::vector<Value> Read() const {
+    std::vector<Value> values;
+    for (const auto& entry : candidates) values.push_back(entry.second);
+    std::sort(values.begin(), values.end());
+    return values;
+  }
+};
+
+constexpr std::uint64_t kLastClient = std::numeric_limits<std::uint64_t>::max();
+
+// Client 0 at counter 0 is the implicit clock; the top two ids exercise the
+// run that has no successor client. Few counters and values make equal
+// clocks with different values common.
+clk::OpClock RandomRegisterClock(Rng& rng) {
+  if (rng.NextBool(0.1)) return clk::OpClock{};
+  static constexpr std::uint64_t kClients[] = {0, 1, 2, kLastClient - 1,
+                                               kLastClient};
+  return clk::OpClock{kClients[rng.NextBelow(5)], rng.NextBelow(4)};
+}
+
+Value RandomRegisterValue(Rng& rng) {
+  const std::int64_t i = rng.NextInRange(0, 2);
+  return rng.NextBool(0.5) ? Value(i) : Value("s" + std::to_string(i));
+}
+
+// A random set of up to 6 entries with no antichain invariant, encoded in
+// draw order with duplicates, as hostile or legacy state bytes could be.
+std::pair<Bytes, FullScanRegister> RandomRegisterState(Rng& rng) {
+  FullScanRegister model;
+  std::vector<std::pair<clk::OpClock, Value>> entries;
+  const std::size_t n = rng.NextBelow(7);
+  for (std::size_t i = 0; i < n; ++i) {
+    entries.emplace_back(RandomRegisterClock(rng), RandomRegisterValue(rng));
+    if (rng.NextBool(0.2)) entries.push_back(entries.back());
+    model.candidates.insert(entries.back());
+  }
+  return {EncodeRegisterEntries(entries), std::move(model)};
+}
+
+std::unique_ptr<MVRegisterNode> DecodeRegister(const Bytes& state) {
+  codec::Reader r(state);
+  return MVRegisterNode::Decode(r);
+}
+
+Bytes EncodeNode(const CrdtNode& node) {
+  codec::Writer w;
+  node.Encode(w);
+  return w.Take();
+}
+
+void ExpectSameRegister(const MVRegisterNode& node,
+                        const FullScanRegister& model) {
+  ASSERT_EQ(EncodeNode(node), model.Encode());
+  ASSERT_EQ(node.ReadAt({}, 0).values, model.Read());
+  ASSERT_EQ(node.OpCount(), model.candidates.size());
+}
+
+TEST(MVRegisterReference, RandomStepsMatchFullScan) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto node = std::make_unique<MVRegisterNode>();
+    FullScanRegister model;
+    for (int step = 0; step < 5000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const double dice = rng.NextDouble();
+      if (dice < 0.4) {
+        const clk::OpClock clock = RandomRegisterClock(rng);
+        const Value v = RandomRegisterValue(rng);
+        node->Assign(v, clock);
+        model.Assign(v, clock);
+      } else if (dice < 0.65) {
+        Operation op;
+        op.kind = OpKind::kAssignValue;
+        op.value_type = CrdtType::kMVRegister;
+        op.clock = RandomRegisterClock(rng);
+        op.value = RandomRegisterValue(rng);
+        // Wrong kinds and non-leaf paths must leave the register alone.
+        const bool ignored = rng.NextBool(0.1);
+        if (ignored) {
+          if (rng.NextBool(0.5)) {
+            op.kind = OpKind::kAddValue;
+          } else {
+            op.path = {"k"};
+          }
+        }
+        ASSERT_EQ(node->Apply(op, 0), !ignored);
+        if (!ignored) model.Assign(op.value, op.clock);
+      } else if (dice < 0.75) {
+        auto [state, decoded] = RandomRegisterState(rng);
+        node = DecodeRegister(state);
+        ASSERT_NE(node, nullptr);
+        model = std::move(decoded);
+      } else if (dice < 0.85) {
+        std::unique_ptr<CrdtNode> clone = node->Clone();
+        node.reset(static_cast<MVRegisterNode*>(clone.release()));
+      } else {
+        auto [state, other_model] = RandomRegisterState(rng);
+        const auto other = DecodeRegister(state);
+        ASSERT_NE(other, nullptr);
+        for (std::uint64_t i = rng.NextBelow(4); i > 0; --i) {
+          const clk::OpClock clock = RandomRegisterClock(rng);
+          const Value v = RandomRegisterValue(rng);
+          other->Assign(v, clock);
+          other_model.Assign(v, clock);
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectSameRegister(*other, other_model));
+        node->MergeFrom(*other);
+        for (const auto& [clock, value] : other_model.candidates) {
+          model.Assign(value, clock);
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameRegister(*node, model));
+    }
+  }
+}
+
+// The ranges Assign searches, one scripted case each, with the values the
+// register must end up holding.
+TEST(MVRegisterReference, ScriptedEdgeCases) {
+  struct Step {
+    clk::OpClock clock;
+    Value value;
+  };
+  struct Script {
+    std::vector<Step> steps;
+    std::vector<Value> read;
+  };
+  const std::vector<Script> scripts = {
+      // Implicit entries survive each other, then any explicit clock (here
+      // the last client id) drops them; an implicit clock is then dominated.
+      {{{{0, 0}, 1}, {{0, 0}, "a"}, {{kLastClient, 1}, 2}, {{0, 0}, 3}},
+       {2}},
+      // The last client id's run: lower counters are dominated, a higher one
+      // replaces the run, a neighbouring client stays concurrent.
+      {{{{kLastClient, 5}, 1},
+        {{kLastClient, 3}, 2},
+        {{kLastClient - 1, 9}, 3},
+        {{kLastClient, 7}, 4}},
+       {3, 4}},
+      // Equal clocks with different values coexist until a later counter of
+      // the same client replaces both; client 0's run holds the implicit
+      // entry too.
+      {{{{0, 0}, 0}, {{0, 2}, 1}, {{0, 2}, "b"}, {{0, 1}, 2}, {{0, 3}, 3}},
+       {3}},
+      // Counter 0 of a non-zero client is explicit, so it drops the implicit
+      // front and loses to the same client's counter 1.
+      {{{{0, 0}, 1}, {{1, 0}, 2}, {{2, 0}, 3}, {{1, 1}, 4}}, {3, 4}},
+  };
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    MVRegisterNode node;
+    FullScanRegister model;
+    for (const Step& step : scripts[i].steps) {
+      node.Assign(step.value, step.clock);
+      model.Assign(step.value, step.clock);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameRegister(node, model));
+    }
+    EXPECT_EQ(node.ReadAt({}, 0).values, scripts[i].read);
   }
 }
 

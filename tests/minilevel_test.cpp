@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <map>
@@ -14,14 +15,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// A temp path no other fixture or process uses. `ctest -j` runs each test
+// in its own process, and those processes can share the gtest seed and,
+// under ASan's deterministic heap, every address, so neither tells them
+// apart; the process id and a per-process counter do.
+fs::path UniqueTempPath(const std::string& stem) {
+  static int next = 0;
+  return fs::temp_directory_path() /
+         (stem + "_" + std::to_string(getpid()) + "_" +
+          std::to_string(next++));
+}
+
 class MiniLevelTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("minilevel_test_" +
-            std::to_string(
-                testing::UnitTest::GetInstance()->random_seed() +
-                reinterpret_cast<std::uintptr_t>(this) % 100000));
+    dir_ = UniqueTempPath("minilevel_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -282,7 +290,7 @@ TEST_F(MiniLevelTest, RandomizedModelCheck) {
 }
 
 TEST(Sstable, WriteAndPointLookups) {
-  const fs::path path = fs::temp_directory_path() / "sstable_unit.mlt";
+  const fs::path path = UniqueTempPath("sstable_unit");
   std::vector<SstRecord> records;
   for (int i = 0; i < 100; ++i) {
     SstRecord rec;
@@ -305,7 +313,7 @@ TEST(Sstable, WriteAndPointLookups) {
 }
 
 TEST(Sstable, CorruptFooterRejected) {
-  const fs::path path = fs::temp_directory_path() / "sstable_corrupt.mlt";
+  const fs::path path = UniqueTempPath("sstable_corrupt");
   {
     std::ofstream out(path, std::ios::binary);
     out.write("not a real sstable with at least 32 bytes of junk....", 53);
