@@ -127,6 +127,6 @@ BENCHMARK(BM_VerifyBatch)->Arg(4)->Arg(8);
 
 int main(int argc, char** argv) {
   // "crypto" (not "micro_crypto") so the artifact lands as BENCH_crypto.json
-  // next to BENCH_hotpath.json in the CI perf-smoke upload.
+  // next to BENCH_hotpath.json in the CI bench-regress upload.
   return orderless::bench::RunMicrobenchWithJson(argc, argv, "crypto");
 }

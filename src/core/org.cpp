@@ -778,9 +778,7 @@ void Organization::FinishCommit(sim::NodeId from,
       ++committed_count_;
       committed_xor_ ^= tx->id.Prefix64();
       // Persist the body so a restart can keep serving syncs for it.
-      // Zero-copy: the store adopts the sealed canonical encoding the
-      // transaction already carries, shared by every org committing it.
-      ledger_.PutTransactionBodyRef(tx->id, tx->SharedEncoding());
+      ledger_.PutTransactionBody(tx->id, tx->EncodedBody());
     }
   }
   if (commit_observer_) commit_observer_(*tx, verdict);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "codec/scratch.h"
-
 namespace orderless::core {
 
 void Proposal::Encode(codec::Writer& w) const {
@@ -44,11 +42,11 @@ std::optional<Proposal> Proposal::Decode(codec::Reader& r) {
 
 crypto::Digest Proposal::Digest() const {
   if (cached_) return cached_digest_;
-  codec::ScratchWriter w;
-  w->Reserve(32 + contract.size() + function.size() + args.size() * 16);
-  Encode(*w);
-  cached_digest_ = crypto::Sha256::Hash(BytesView(w->data()));
-  cached_wire_size_ = w->size();
+  codec::Writer w;
+  w.Reserve(32 + contract.size() + function.size() + args.size() * 16);
+  Encode(w);
+  cached_digest_ = crypto::Sha256::Hash(BytesView(w.data()));
+  cached_wire_size_ = w.size();
   cached_ = true;
   return cached_digest_;
 }
@@ -59,10 +57,10 @@ std::size_t Proposal::WireSize() const {
 }
 
 crypto::Digest WriteSetDigest(const std::vector<crdt::Operation>& ops) {
-  codec::ScratchWriter w;
-  w->Reserve(16 + ops.size() * 64);
-  crdt::EncodeOperations(ops, *w);
-  return crypto::Sha256::Hash(BytesView(w->data()));
+  codec::Writer w;
+  w.Reserve(16 + ops.size() * 64);
+  crdt::EncodeOperations(ops, w);
+  return crypto::Sha256::Hash(BytesView(w.data()));
 }
 
 crypto::Digest EndorsementMessage(const crypto::Digest& proposal_digest,
@@ -101,24 +99,9 @@ std::shared_ptr<Transaction> Transaction::Assemble(
 
 void Transaction::Seal() const {
   (void)EncodedBody();
-  (void)WireSize();
   (void)ProposalDigest();
   (void)OpsDigest();
 }
-
-namespace {
-void EncodeTransactionFields(const Transaction& tx, codec::Writer& w) {
-  tx.proposal.Encode(w);
-  crdt::EncodeOperations(tx.ops, w);
-  w.PutVarint(tx.endorsements.size());
-  for (const Endorsement& endorsement : tx.endorsements) {
-    w.PutU64(endorsement.org);
-    w.PutBytes(endorsement.signature.View());
-  }
-  w.PutBytes(tx.client_signature.View());
-  w.PutBytes(tx.id.View());
-}
-}  // namespace
 
 void Transaction::Encode(codec::Writer& w) const {
   w.PutRaw(EncodedBody());
@@ -127,8 +110,21 @@ void Transaction::Encode(codec::Writer& w) const {
 BytesView Transaction::EncodedBody() const {
   if (!cached_encoding_) {
     codec::Writer w;
-    w.Reserve(WireSize() + endorsements.size() * 16 + 32);
-    EncodeTransactionFields(*this, w);
+    w.Reserve(proposal.WireSize() + ops.size() * 64 +
+              endorsements.size() * 48 + 96);
+    proposal.Encode(w);
+    crdt::EncodeOperations(ops, w);
+    // The simulated wire size counts the proposal and write-set as encoded,
+    // 40 bytes per endorsement (org id + signature) and 80 for the client
+    // signature, the id and framing.
+    cached_wire_size_ = w.size() + endorsements.size() * 40 + 32 + 32 + 16;
+    w.PutVarint(endorsements.size());
+    for (const Endorsement& endorsement : endorsements) {
+      w.PutU64(endorsement.org);
+      w.PutBytes(endorsement.signature.View());
+    }
+    w.PutBytes(client_signature.View());
+    w.PutBytes(id.View());
     cached_encoding_ = std::make_shared<const Bytes>(w.Take());
   }
   return BytesView(*cached_encoding_);
@@ -182,15 +178,7 @@ std::shared_ptr<Transaction> Transaction::Decode(codec::Reader& r) {
 }
 
 std::size_t Transaction::WireSize() const {
-  if (cached_wire_size_ == 0) {
-    codec::ScratchWriter sw;
-    codec::Writer& w = *sw;
-    proposal.Encode(w);
-    crdt::EncodeOperations(ops, w);
-    // endorsements: org id + 32-byte signature; client signature + id.
-    cached_wire_size_ =
-        w.size() + endorsements.size() * 40 + 32 + 32 + 16;
-  }
+  (void)EncodedBody();  // the single encode records the wire size
   return cached_wire_size_;
 }
 
@@ -226,75 +214,46 @@ TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
   }
   const crypto::Digest message = EndorsementMessage(proposal_digest, ws_digest);
 
-  // Batch path: hash the client signature and every endorsement keyed-hash
-  // in one multi-buffer pass, then reconstruct the scalar loop's exact
-  // first-failure verdict from positions. The structural checks (unknown
-  // signer, duplicate) don't depend on signature outcomes, so scanning them
-  // first is order-equivalent: the scalar loop would return a signature
-  // failure only if it occurs at an earlier index than the first structural
-  // failure, which is precisely what the position walk below reports.
+  // Hash the client signature and every endorsement keyed-hash in one
+  // multi-buffer pass, then report the first failure in endorsement order.
+  // The structural checks (unknown signer, duplicate) don't depend on
+  // signature outcomes, so they are scanned first: a signature failure wins
+  // only if it sits at an earlier index than the first structural failure,
+  // and endorsements past that failure are never verified.
   const std::size_t n = tx.endorsements.size();
-  if (n >= 2) {
-    std::size_t structural_pos = n;
-    TxVerdict structural_verdict = TxVerdict::kValid;
-    std::unordered_set<crypto::KeyId> seen;
-    seen.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!organization_keys.contains(tx.endorsements[i].org)) {
-        structural_pos = i;
-        structural_verdict = TxVerdict::kUnknownEndorser;
-        break;
-      }
-      if (!seen.insert(tx.endorsements[i].org).second) {
-        structural_pos = i;
-        structural_verdict = TxVerdict::kDuplicateEndorser;
-        break;
-      }
-    }
-    // Endorsements past the first structural failure are never verified by
-    // the scalar loop, so exclude them from the batch too.
-    std::vector<crypto::Pki::BatchItem> items;
-    items.reserve(1 + structural_pos);
-    items.push_back(crypto::Pki::BatchItem{tx.proposal.client, kTxContext,
-                                           tx.id.View(), tx.client_signature});
-    for (std::size_t i = 0; i < structural_pos; ++i) {
-      items.push_back(crypto::Pki::BatchItem{tx.endorsements[i].org,
-                                             kEndorseContext, message.View(),
-                                             tx.endorsements[i].signature});
-    }
-    std::unique_ptr<bool[]> valid(new bool[items.size()]());
-    pki.VerifyBatch(items.data(), items.size(), valid.get());
-    if (!valid[0]) return TxVerdict::kBadClientSignature;
-    for (std::size_t i = 0; i < structural_pos; ++i) {
-      if (!valid[1 + i]) return TxVerdict::kBadEndorsementSignature;
-    }
-    if (structural_pos < n) return structural_verdict;
-    if (n < policy.q) return TxVerdict::kInsufficientEndorsements;
-    return TxVerdict::kValid;
-  }
-
-  if (!pki.Verify(tx.proposal.client, kTxContext, tx.id,
-                  tx.client_signature)) {
-    return TxVerdict::kBadClientSignature;
-  }
+  std::size_t structural_pos = n;
+  TxVerdict structural_verdict = TxVerdict::kValid;
   std::unordered_set<crypto::KeyId> seen;
-  std::uint32_t valid_endorsements = 0;
-  for (const auto& endorsement : tx.endorsements) {
-    if (!organization_keys.contains(endorsement.org)) {
-      return TxVerdict::kUnknownEndorser;
+  seen.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!organization_keys.contains(tx.endorsements[i].org)) {
+      structural_pos = i;
+      structural_verdict = TxVerdict::kUnknownEndorser;
+      break;
     }
-    if (!seen.insert(endorsement.org).second) {
-      return TxVerdict::kDuplicateEndorser;
+    if (!seen.insert(tx.endorsements[i].org).second) {
+      structural_pos = i;
+      structural_verdict = TxVerdict::kDuplicateEndorser;
+      break;
     }
-    if (!pki.Verify(endorsement.org, kEndorseContext, message,
-                    endorsement.signature)) {
-      return TxVerdict::kBadEndorsementSignature;
-    }
-    ++valid_endorsements;
   }
-  if (valid_endorsements < policy.q) {
-    return TxVerdict::kInsufficientEndorsements;
+  std::vector<crypto::Pki::BatchItem> items;
+  items.reserve(1 + structural_pos);
+  items.push_back(crypto::Pki::BatchItem{tx.proposal.client, kTxContext,
+                                         tx.id.View(), tx.client_signature});
+  for (std::size_t i = 0; i < structural_pos; ++i) {
+    items.push_back(crypto::Pki::BatchItem{tx.endorsements[i].org,
+                                           kEndorseContext, message.View(),
+                                           tx.endorsements[i].signature});
   }
+  std::unique_ptr<bool[]> valid(new bool[items.size()]());
+  pki.VerifyBatch(items.data(), items.size(), valid.get());
+  if (!valid[0]) return TxVerdict::kBadClientSignature;
+  for (std::size_t i = 0; i < structural_pos; ++i) {
+    if (!valid[1 + i]) return TxVerdict::kBadEndorsementSignature;
+  }
+  if (structural_pos < n) return structural_verdict;
+  if (n < policy.q) return TxVerdict::kInsufficientEndorsements;
   return TxVerdict::kValid;
 }
 

@@ -113,10 +113,10 @@ struct Transaction {
   /// valid for the life of the transaction object.
   BytesView EncodedBody() const;
 
-  /// The same canonical encoding as a refcounted buffer, for sinks that keep
-  /// the bytes (ledger body persistence): sharing the transaction's own
-  /// encoding end-to-end replaces the copy the store used to take. The
-  /// buffer outlives the transaction if the sink holds it longer.
+  /// The same canonical encoding as a refcounted buffer. The verdict table
+  /// keeps it beside each verdict, so a later lookup with the same buffer
+  /// hits on pointer equality alone. The buffer outlives the transaction if
+  /// the holder keeps it longer.
   std::shared_ptr<const Bytes> SharedEncoding() const;
 
   /// Cached digest of the embedded proposal / write-set — what
@@ -124,21 +124,22 @@ struct Transaction {
   crypto::Digest ProposalDigest() const;
   crypto::Digest OpsDigest() const;
 
+  /// Simulated network size, recorded by the encode behind EncodedBody().
   std::size_t WireSize() const;
 
   /// Voids every cached derivation (encoding, digests, wire size). Only for
   /// code that deliberately mutates a transaction in place after assembly —
   /// i.e. tests modelling tampering; protocol code never mutates one.
   void InvalidateCache() const {
-    cached_wire_size_ = 0;
     cached_encoding_.reset();
     ops_digest_cached_ = false;
     proposal.InvalidateCache();
   }
 
  private:
+  // Set together with cached_encoding_.
   mutable std::size_t cached_wire_size_ = 0;
-  // Refcounted so SharedEncoding() can hand the buffer to long-lived sinks
+  // Refcounted so SharedEncoding() can hand the buffer to the verdict table
   // without copying; EncodedBody() views into the same storage.
   mutable std::shared_ptr<const Bytes> cached_encoding_;
   mutable bool ops_digest_cached_ = false;

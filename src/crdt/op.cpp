@@ -1,5 +1,6 @@
 #include "crdt/op.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace orderless::crdt {
@@ -47,7 +48,8 @@ std::optional<Operation> Operation::Decode(codec::Reader& r) {
   op.object_type = static_cast<CrdtType>(*object_type);
   const auto path_len = r.GetVarint();
   if (!path_len || *path_len > 1024) return std::nullopt;
-  op.path.reserve(*path_len);
+  // Each segment takes at least one byte, so the bytes left bound the count.
+  op.path.reserve(std::min<std::uint64_t>(*path_len, r.remaining()));
   for (std::uint64_t i = 0; i < *path_len; ++i) {
     auto seg = r.GetString();
     if (!seg) return std::nullopt;
@@ -99,7 +101,7 @@ std::optional<std::vector<Operation>> DecodeOperations(codec::Reader& r) {
   const auto n = r.GetVarint();
   if (!n || *n > (1u << 20)) return std::nullopt;
   std::vector<Operation> ops;
-  ops.reserve(*n);
+  ops.reserve(std::min<std::uint64_t>(*n, r.remaining()));
   for (std::uint64_t i = 0; i < *n; ++i) {
     auto op = Operation::Decode(r);
     if (!op) return std::nullopt;

@@ -139,32 +139,23 @@ std::size_t Pki::CountValidDistinct(
     std::string_view context, const Digest& digest,
     const std::vector<std::pair<KeyId, Signature>>& signatures,
     const std::set<KeyId>& allowed) const {
-  // Batch path: the allowed/duplicate filters don't depend on verification
-  // outcomes, so pre-filter, verify the survivors in one multi-buffer pass,
-  // and count. Counted set and result match the scalar loop exactly.
-  if (signatures.size() >= 2) {
-    std::set<KeyId> seen;
-    std::vector<BatchItem> items;
-    items.reserve(signatures.size());
-    for (const auto& [signer, signature] : signatures) {
-      if (!allowed.contains(signer)) continue;
-      if (!seen.insert(signer).second) continue;
-      items.push_back(BatchItem{signer, context, digest.View(), signature});
-    }
-    std::unique_ptr<bool[]> valid(new bool[items.size()]());
-    VerifyBatch(items.data(), items.size(), valid.get());
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) count += valid[i] ? 1 : 0;
-    return count;
-  }
-  std::set<KeyId> counted;
+  // The allowed/duplicate filters don't depend on verification outcomes,
+  // so pre-filter, verify the survivors in one multi-buffer pass, and
+  // count. Each allowed signer's first entry decides: a later entry for the
+  // same signer is never verified, so [(A, bad), (A, good)] counts 0.
+  std::set<KeyId> seen;
+  std::vector<BatchItem> items;
+  items.reserve(signatures.size());
   for (const auto& [signer, signature] : signatures) {
     if (!allowed.contains(signer)) continue;
-    if (counted.contains(signer)) continue;
-    if (!Verify(signer, context, digest, signature)) continue;
-    counted.insert(signer);
+    if (!seen.insert(signer).second) continue;
+    items.push_back(BatchItem{signer, context, digest.View(), signature});
   }
-  return counted.size();
+  std::unique_ptr<bool[]> valid(new bool[items.size()]());
+  VerifyBatch(items.data(), items.size(), valid.get());
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) count += valid[i] ? 1 : 0;
+  return count;
 }
 
 const std::string& Pki::NameOf(KeyId id) const {

@@ -83,10 +83,12 @@ class Pki {
   bool VerifyBatch(const BatchItem* items, std::size_t n,
                    bool* valid_out) const;
 
-  /// Counts how many (signer, signature) pairs verify over (context, digest)
-  /// with signers drawn from `allowed`, each distinct signer counted once.
-  /// The q-of-n primitive behind quorum attestation: duplicate signers,
-  /// unknown keys and invalid signatures all contribute zero.
+  /// Counts the distinct signers drawn from `allowed` whose signature
+  /// verifies over (context, digest). Each signer's first entry decides:
+  /// later entries for the same signer are never verified, so a bad first
+  /// signature is not rescued by a good duplicate. The q-of-n primitive
+  /// behind quorum attestation: duplicate entries, unknown keys and invalid
+  /// signatures all contribute zero.
   std::size_t CountValidDistinct(
       std::string_view context, const Digest& digest,
       const std::vector<std::pair<KeyId, Signature>>& signatures,

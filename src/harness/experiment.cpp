@@ -12,7 +12,6 @@
 #include "fabric/apps.h"
 #include "fabric/net.h"
 #include "fabriccrdt/apps.h"
-#include "codec/scratch.h"
 #include "crypto/sha256.h"
 #include "harness/orderless_net.h"
 #include "obs/prof.h"
@@ -139,8 +138,6 @@ class Driver {
   virtual PhaseBreakdown Breakdown() const = 0;
   /// Overload/retry counters; only OrderlessChain implements the layer.
   virtual RobustnessStats Robustness() const { return {}; }
-  /// Zero-copy commit rows (shared sealed encodings); OrderlessChain only.
-  virtual std::size_t BodyRefRows() const { return 0; }
   /// Event lane of `client`'s simulated node; lane 0 (the sequential
   /// default) for systems without per-actor lanes.
   virtual sim::ActorId ClientActor(std::size_t client) const {
@@ -309,8 +306,6 @@ class OrderlessDriver final : public Driver {
     }
     return r;
   }
-
-  std::size_t BodyRefRows() const override { return net_->BodyRefRows(); }
 
  private:
   std::unique_ptr<OrderlessNet> net_;
@@ -502,8 +497,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (config.profiler) {
     crypto::batch::ResetCounts();
     crypto::batch::SetCountDispatch(true);
-    codec::ResetScratchPoolCounts();
-    codec::SetCountScratchPool(true);
   }
   auto driver = MakeDriver(config);
   sim::Simulation& simulation = driver->simulation();
@@ -605,14 +598,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     snap.verify_batches = c.verify_batches;
     snap.verify_sigs = c.verify_sigs;
     config.profiler->SetCrypto(snap);
-    codec::SetCountScratchPool(false);
-    const codec::ScratchPoolCounts s = codec::ScratchPoolCountsSnapshot();
-    obs::ScratchSnapshot scratch;
-    scratch.acquires = s.acquires;
-    scratch.pool_hits = s.pool_hits;
-    scratch.heap_allocs = s.heap_allocs;
-    scratch.drops = s.drops;
-    config.profiler->SetScratch(scratch);
   }
 
   ExperimentResult result;
@@ -623,7 +608,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.breakdown = driver->Breakdown();
   result.throughput_per_second = result.metrics.per_second.PerSecond(w.duration);
   result.events_processed = simulation.events_processed();
-  result.body_ref_rows = driver->BodyRefRows();
   return result;
 }
 

@@ -106,8 +106,8 @@ struct ExperimentConfig {
   obs::Tracer* tracer = nullptr;
 
   /// Optional host-side profiler (not owned; OrderlessChain only): lane
-  /// utilization, barrier waits, scratch-pool recycle rates and batch-crypto
-  /// dispatch counts. Null = zero profiler instructions on the hot path.
+  /// utilization, barrier waits and batch-crypto dispatch counts. Null =
+  /// zero profiler instructions on the hot path.
   obs::Profiler* profiler = nullptr;
 
   /// Simulation worker threads (OrderlessChain only; baselines ignore it
@@ -128,9 +128,6 @@ struct ExperimentResult {
   /// Simulator events executed — a cheap determinism fingerprint: host-side
   /// optimizations and thread counts must leave it bit-identical.
   std::uint64_t events_processed = 0;
-  /// KV rows sharing the committing transaction's sealed encoding instead of
-  /// owning a copy (zero-copy commit path; OrderlessChain only).
-  std::size_t body_ref_rows = 0;
 };
 
 ExperimentResult RunExperiment(const ExperimentConfig& config);

@@ -126,15 +126,4 @@ bool OrderlessNet::StateConvergedAmong(
   return true;
 }
 
-std::size_t OrderlessNet::BodyRefRows() const {
-  std::size_t rows = 0;
-  for (const auto& store : org_stores_) {
-    if (const auto* mem =
-            dynamic_cast<const ledger::MemKvStore*>(store.get())) {
-      rows += mem->ref_rows();
-    }
-  }
-  return rows;
-}
-
 }  // namespace orderless::harness

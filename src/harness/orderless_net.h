@@ -96,11 +96,6 @@ class OrderlessNet {
   bool StateConvergedAmong(const std::string& object_id,
                            const std::vector<std::size_t>& org_indices) const;
 
-  /// KV rows across all organization stores whose bytes are shared with the
-  /// committing transaction's sealed encoding instead of copied (zero-copy
-  /// commit path diagnostic; 0 when bodies are not persisted).
-  std::size_t BodyRefRows() const;
-
  private:
   OrderlessNetConfig config_;
   sim::Simulation simulation_;

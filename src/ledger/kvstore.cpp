@@ -3,38 +3,20 @@
 namespace orderless::ledger {
 
 Status MemKvStore::Put(std::string_view key, BytesView value) {
-  Stored& row = data_[std::string(key)];
-  if (row.ref) {
-    row.ref.reset();
-    --ref_rows_;
-  }
-  row.owned.assign(value.begin(), value.end());
-  return Status::Ok();
-}
-
-Status MemKvStore::PutRef(std::string_view key,
-                          std::shared_ptr<const Bytes> value) {
-  Stored& row = data_[std::string(key)];
-  if (!row.ref) ++ref_rows_;
-  row.owned.clear();
-  row.ref = std::move(value);
+  data_[std::string(key)].assign(value.begin(), value.end());
   return Status::Ok();
 }
 
 Status MemKvStore::Delete(std::string_view key) {
   const auto it = data_.find(key);
-  if (it != data_.end()) {
-    if (it->second.ref) --ref_rows_;
-    data_.erase(it);
-  }
+  if (it != data_.end()) data_.erase(it);
   return Status::Ok();
 }
 
 std::optional<Bytes> MemKvStore::Get(std::string_view key) const {
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
-  const BytesView view = it->second.view();
-  return Bytes(view.begin(), view.end());
+  return it->second;
 }
 
 void MemKvStore::ScanPrefix(
@@ -42,7 +24,7 @@ void MemKvStore::ScanPrefix(
     const std::function<bool(std::string_view, BytesView)>& visitor) const {
   for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    if (!visitor(it->first, it->second.view())) break;
+    if (!visitor(it->first, it->second)) break;
   }
 }
 

@@ -5,11 +5,9 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -23,15 +21,6 @@ class KvStore {
   virtual Status Put(std::string_view key, BytesView value) = 0;
   virtual Status Delete(std::string_view key) = 0;
   virtual std::optional<Bytes> Get(std::string_view key) const = 0;
-
-  /// Put for values the caller already owns in a refcounted buffer (a
-  /// committed transaction's sealed canonical encoding). In-memory stores
-  /// adopt the reference instead of copying the bytes; the default copies,
-  /// so durable stores keep serializing as usual. `value` must be non-null.
-  virtual Status PutRef(std::string_view key,
-                        std::shared_ptr<const Bytes> value) {
-    return Put(key, BytesView(*value));
-  }
 
   /// Visits live keys with the given prefix in lexicographic order; the
   /// visitor returns false to stop early.
@@ -52,8 +41,6 @@ class KvStore {
 class MemKvStore final : public KvStore {
  public:
   Status Put(std::string_view key, BytesView value) override;
-  Status PutRef(std::string_view key,
-                std::shared_ptr<const Bytes> value) override;
   Status Delete(std::string_view key) override;
   std::optional<Bytes> Get(std::string_view key) const override;
   void ScanPrefix(std::string_view prefix,
@@ -61,22 +48,8 @@ class MemKvStore final : public KvStore {
                       visitor) const override;
   std::size_t ApproximateCount() const override { return data_.size(); }
 
-  /// Rows whose bytes are shared with the writer instead of copied
-  /// (diagnostics for the zero-copy commit path).
-  std::size_t ref_rows() const { return ref_rows_; }
-
  private:
-  /// A row either owns its bytes or shares the writer's refcounted buffer
-  /// (PutRef). Readers only ever see view().
-  struct Stored {
-    Bytes owned;
-    std::shared_ptr<const Bytes> ref;
-
-    BytesView view() const { return ref ? BytesView(*ref) : BytesView(owned); }
-  };
-
-  std::map<std::string, Stored, std::less<>> data_;
-  std::size_t ref_rows_ = 0;
+  std::map<std::string, Bytes, std::less<>> data_;
 };
 
 }  // namespace orderless::ledger

@@ -1,32 +1,10 @@
 #include "ledger/ledger.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "codec/codec.h"
-#include "codec/scratch.h"
 
 namespace orderless::ledger {
-
-namespace {
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-/// prefix + 64 hex chars in a single string allocation (a "tx/" + Hex()
-/// concat would allocate the hex temporary and then the concatenation —
-/// twice per committed transaction on the hottest store path).
-std::string PrefixedHexKey(std::string_view prefix, const crypto::Digest& d) {
-  std::string key;
-  key.resize(prefix.size() + 2 * d.bytes.size());
-  std::memcpy(key.data(), prefix.data(), prefix.size());
-  char* out = key.data() + prefix.size();
-  for (const std::uint8_t b : d.bytes) {
-    *out++ = kHexDigits[b >> 4];
-    *out++ = kHexDigits[b & 0xf];
-  }
-  return key;
-}
-}  // namespace
 
 Ledger::Ledger(std::shared_ptr<KvStore> store, LedgerOptions options)
     : store_(std::move(store)), options_(options) {
@@ -34,16 +12,16 @@ Ledger::Ledger(std::shared_ptr<KvStore> store, LedgerOptions options)
 }
 
 std::string Ledger::TxKey(const crypto::Digest& tx_digest) {
-  return PrefixedHexKey("tx/", tx_digest);
+  return "tx/" + tx_digest.Hex();
 }
 
 std::string Ledger::BodyKey(const crypto::Digest& tx_digest) {
-  return PrefixedHexKey("body/", tx_digest);
+  return "body/" + tx_digest.Hex();
 }
 
-void Ledger::PutTransactionBodyRef(const crypto::Digest& tx_digest,
-                                   std::shared_ptr<const Bytes> encoded) {
-  store_->PutRef(BodyKey(tx_digest), std::move(encoded));
+void Ledger::PutTransactionBody(const crypto::Digest& tx_digest,
+                                BytesView encoded) {
+  store_->Put(BodyKey(tx_digest), encoded);
 }
 
 void Ledger::ScanTransactionBodies(
@@ -56,30 +34,13 @@ void Ledger::ScanTransactionBodies(
 }
 
 std::string Ledger::OpKey(const crdt::Operation& op) {
-  const auto id = op.id();
   // "op/<object id>/<client>.<counter>.<seq>.<8 hex of the content digest>",
-  // object id first so a prefix scan groups one object's operations. One
-  // allocation: numbers formatted into a stack buffer, the digest prefix
-  // hex-encoded directly.
-  char mid[80];
-  const int mid_len = std::snprintf(
-      mid, sizeof mid, "/%llu.%llu.%lu.",
-      static_cast<unsigned long long>(id.client),
-      static_cast<unsigned long long>(id.counter),
-      static_cast<unsigned long>(id.seq));
+  // object id first so a prefix scan groups one object's operations.
+  const auto id = op.id();
   const crypto::Digest content = op.ContentDigest();
-  char hex8[8];
-  for (int i = 0; i < 4; ++i) {
-    hex8[2 * i] = kHexDigits[content.bytes[i] >> 4];
-    hex8[2 * i + 1] = kHexDigits[content.bytes[i] & 0xf];
-  }
-  std::string key;
-  key.reserve(3 + op.object_id.size() + static_cast<std::size_t>(mid_len) + 8);
-  key.append("op/");
-  key.append(op.object_id);
-  key.append(mid, static_cast<std::size_t>(mid_len));
-  key.append(hex8, 8);
-  return key;
+  return "op/" + op.object_id + "/" + std::to_string(id.client) + "." +
+         std::to_string(id.counter) + "." + std::to_string(id.seq) + "." +
+         ToHex(content.View().first(4));
 }
 
 const Block& Ledger::Commit(const crypto::Digest& tx_digest, bool valid,
@@ -88,20 +49,20 @@ const Block& Ledger::Commit(const crypto::Digest& tx_digest, bool valid,
   if (options_.track_tx_keys) {
     // height ‖ verdict ‖ block hash: enough to rebuild the commit index and
     // the hash chain (and to cross-check it) after a crash.
-    codec::ScratchWriter record;
-    record->PutU64(block.height);
-    record->PutBool(block.valid);
-    record->PutBytes(block.hash.View());
-    store_->Put(TxKey(tx_digest), BytesView(record->data()));
+    codec::Writer record;
+    record.PutU64(block.height);
+    record.PutBool(block.valid);
+    record.PutBytes(block.hash.View());
+    store_->Put(TxKey(tx_digest), BytesView(record.data()));
   }
   if (valid) {
     ++committed_valid_;
     if (options_.persist_ops) {
-      codec::ScratchWriter w;
+      codec::Writer w;
       for (const auto& op : ops) {
-        w->Clear();
-        op.Encode(*w);
-        store_->Put(OpKey(op), BytesView(w->data()));
+        w.Clear();
+        op.Encode(w);
+        store_->Put(OpKey(op), BytesView(w.data()));
       }
     }
     cache_.Apply(ops);

@@ -110,11 +110,8 @@ class Ledger {
 
   /// Optional storage of full transaction bodies (canonical encoding), so a
   /// restarted host can keep serving gossip pulls / anti-entropy syncs for
-  /// transactions committed before the crash. Zero-copy: the store adopts
-  /// the refcounted buffer (the transaction's sealed canonical encoding)
-  /// instead of copying it.
-  void PutTransactionBodyRef(const crypto::Digest& tx_digest,
-                             std::shared_ptr<const Bytes> encoded);
+  /// transactions committed before the crash.
+  void PutTransactionBody(const crypto::Digest& tx_digest, BytesView encoded);
   void ScanTransactionBodies(
       const std::function<void(BytesView encoded)>& visitor) const;
 

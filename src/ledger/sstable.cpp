@@ -132,7 +132,8 @@ Result<std::shared_ptr<SstableReader>> SstableReader::Open(
                                     *bloom_offset));
   const auto num_hashes = bloom.GetU32();
   const auto word_count = bloom.GetVarint();
-  if (!num_hashes || !word_count) {
+  // A corrupt count must not size the reservation below.
+  if (!num_hashes || !word_count || *word_count > bloom.remaining() / 8) {
     return Result<std::shared_ptr<SstableReader>>::Error(
         "sstable: bad bloom in " + path);
   }

@@ -40,12 +40,6 @@ double Profiler::Utilization() const {
          static_cast<double>(pool_width_ns_);
 }
 
-double Profiler::ScratchHitRate() const {
-  if (scratch_.acquires == 0) return 0;
-  return static_cast<double>(scratch_.pool_hits) /
-         static_cast<double>(scratch_.acquires);
-}
-
 void Profiler::Fill(MetricsRegistry& registry) const {
   registry.counter("prof.epochs").Add(epochs_);
   registry.counter("prof.lanes").Add(lanes_.size());
@@ -59,11 +53,6 @@ void Profiler::Fill(MetricsRegistry& registry) const {
         .Set(static_cast<double>(active_lane_sum_) /
              static_cast<double>(epochs_));
   }
-  registry.counter("prof.scratch.acquires").Add(scratch_.acquires);
-  registry.counter("prof.scratch.pool_hits").Add(scratch_.pool_hits);
-  registry.counter("prof.scratch.heap_allocs").Add(scratch_.heap_allocs);
-  registry.counter("prof.scratch.drops").Add(scratch_.drops);
-  registry.gauge("prof.scratch.recycle_hit_rate").Set(ScratchHitRate());
   registry.counter("prof.crypto.batches").Add(crypto_.batches);
   registry.counter("prof.crypto.hashes").Add(crypto_.hashes);
   registry.counter("prof.crypto.scalar").Add(crypto_.scalar);
@@ -113,11 +102,6 @@ std::string Profiler::RenderText() const {
   }
 
   Appendf(out,
-          "scratch-pool: acquires %" PRIu64 "  pool-hits %" PRIu64
-          " (%.2f%%)  heap-allocs %" PRIu64 "  drops %" PRIu64 "\n",
-          scratch_.acquires, scratch_.pool_hits, ScratchHitRate() * 100.0,
-          scratch_.heap_allocs, scratch_.drops);
-  Appendf(out,
           "crypto: batches %" PRIu64 " (scalar %" PRIu64 ", sha-ni %" PRIu64
           ", wide4 %" PRIu64 ", wide8 %" PRIu64 ")  hashes %" PRIu64
           "  verify-batches %" PRIu64 "  verify-sigs %" PRIu64 "\n",
@@ -134,7 +118,6 @@ void Profiler::Reset() {
   barrier_wait_ns_ = 0;
   active_lane_sum_ = 0;
   pool_width_ns_ = 0;
-  scratch_ = ScratchSnapshot{};
   crypto_ = CryptoSnapshot{};
 }
 

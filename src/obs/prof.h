@@ -2,12 +2,12 @@
 //
 // Where the tracer answers "what did the *simulated* system do", the
 // profiler answers "what did the *host* spend running it": per-lane epoch
-// utilization (busy vs wall time on the worker pool), barrier-wait time,
-// scratch-pool recycle hit rates and batch-crypto kernel dispatch counts. All
-// timestamps here are std::chrono::steady_clock — host time, never
-// sim::SimTime — so profiler output varies by machine while the simulated
-// results stay bit-identical with or without it (bench/perf_hotpath
-// cross-checks, same A/B proof as tracing).
+// utilization (busy vs wall time on the worker pool), barrier-wait time and
+// batch-crypto kernel dispatch counts. All timestamps here are
+// std::chrono::steady_clock — host time, never sim::SimTime — so profiler
+// output varies by machine while the simulated results stay bit-identical
+// with or without it (bench/perf_hotpath cross-checks, same A/B proof as
+// tracing).
 //
 // Cost model: every engine hook is gated on a single `if (profiler_)`
 // pointer test, so a run without a profiler attached executes zero
@@ -26,15 +26,6 @@
 #include "obs/metrics.h"
 
 namespace orderless::obs {
-
-/// Pooled-ScratchWriter traffic (mirrors codec::ScratchPoolCounts; plain
-/// struct so obs never links codec — the harness copies the fields across).
-struct ScratchSnapshot {
-  std::uint64_t acquires = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t heap_allocs = 0;
-  std::uint64_t drops = 0;
-};
 
 /// Batch-crypto dispatch snapshot (mirrors crypto::batch::DispatchCounts;
 /// duplicated as a plain struct so obs never links the crypto library —
@@ -87,8 +78,7 @@ class Profiler {
     pool_width_ns_ += wall_ns * static_cast<std::uint64_t>(pool_width);
   }
 
-  /// Cumulative-counter snapshots (overwrite semantics).
-  void SetScratch(const ScratchSnapshot& scratch) { scratch_ = scratch; }
+  /// Cumulative-counter snapshot (overwrite semantics).
   void SetCrypto(const CryptoSnapshot& crypto) { crypto_ = crypto; }
 
   // --- Read-out (single-threaded, after the run). ---
@@ -98,19 +88,16 @@ class Profiler {
   std::uint64_t total_events() const;
   std::uint64_t epoch_wall_ns() const { return wall_ns_; }
   std::uint64_t barrier_wait_ns() const { return barrier_wait_ns_; }
-  const ScratchSnapshot& scratch() const { return scratch_; }
   const CryptoSnapshot& crypto() const { return crypto_; }
 
   /// Worker-pool utilization over all epochs: busy lane time divided by
   /// (epoch wall time x pool width). 0 when nothing ran in parallel.
   double Utilization() const;
-  /// Scratch-pool recycle hit rate: ScratchWriters served without malloc.
-  double ScratchHitRate() const;
 
   /// prof.* metrics for --metrics-json.
   void Fill(MetricsRegistry& registry) const;
 
-  /// Terminal summary: utilization, busiest lanes, scratch pool and crypto.
+  /// Terminal summary: utilization, busiest lanes and crypto.
   std::string RenderText() const;
 
   void Reset();
@@ -128,7 +115,6 @@ class Profiler {
   std::uint64_t barrier_wait_ns_ = 0;
   std::uint64_t active_lane_sum_ = 0;
   std::uint64_t pool_width_ns_ = 0;  // sum(wall_ns x pool width) per epoch
-  ScratchSnapshot scratch_;
   CryptoSnapshot crypto_;
 };
 

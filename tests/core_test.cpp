@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_set>
+
+#include "common/rng.h"
 #include "contracts/auction.h"
 #include "contracts/filestore.h"
 #include "contracts/supplychain.h"
@@ -199,6 +203,171 @@ TEST_F(TxFixture, ReceiptVerification) {
   Receipt wrong_block = receipt;
   wrong_block.block_hash = crypto::Sha256::Hash(std::string_view("other"));
   EXPECT_FALSE(wrong_block.Verify(pki_));
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests for the single (batched) verification path. Each
+// reference model is the plain per-signature loop that ran for small
+// batches before every size went through one multi-buffer pass.
+
+class VerifyReference : public TxFixture {
+ protected:
+  VerifyReference() : intruder_(pki_.Generate("intruder")) {}
+
+  /// The scalar loop: client signature first, then each endorsement in
+  /// order, stopping at the first unknown, duplicate or badly signed one.
+  static TxVerdict ScalarVerdict(const Transaction& tx, const crypto::Pki& pki,
+                                 const std::set<crypto::KeyId>& org_keys,
+                                 const EndorsementPolicy& policy) {
+    const crypto::Digest proposal_digest = tx.ProposalDigest();
+    const crypto::Digest ws_digest = tx.OpsDigest();
+    if (Transaction::ComputeId(proposal_digest, ws_digest) != tx.id) {
+      return TxVerdict::kIdMismatch;
+    }
+    const crypto::Digest message =
+        EndorsementMessage(proposal_digest, ws_digest);
+    if (!pki.Verify(tx.proposal.client, kTxContext, tx.id,
+                    tx.client_signature)) {
+      return TxVerdict::kBadClientSignature;
+    }
+    std::unordered_set<crypto::KeyId> seen;
+    std::uint32_t valid_endorsements = 0;
+    for (const auto& endorsement : tx.endorsements) {
+      if (!org_keys.contains(endorsement.org)) {
+        return TxVerdict::kUnknownEndorser;
+      }
+      if (!seen.insert(endorsement.org).second) {
+        return TxVerdict::kDuplicateEndorser;
+      }
+      if (!pki.Verify(endorsement.org, kEndorseContext, message,
+                      endorsement.signature)) {
+        return TxVerdict::kBadEndorsementSignature;
+      }
+      ++valid_endorsements;
+    }
+    if (valid_endorsements < policy.q) {
+      return TxVerdict::kInsufficientEndorsements;
+    }
+    return TxVerdict::kValid;
+  }
+
+  /// Each allowed signer's first entry decides; later entries for the same
+  /// signer are never looked at.
+  static std::size_t FirstEntryCount(
+      const crypto::Pki& pki, std::string_view context,
+      const crypto::Digest& digest,
+      const std::vector<std::pair<crypto::KeyId, crypto::Signature>>& sigs,
+      const std::set<crypto::KeyId>& allowed) {
+    std::set<crypto::KeyId> decided;
+    std::size_t count = 0;
+    for (const auto& [signer, signature] : sigs) {
+      if (!allowed.contains(signer)) continue;
+      if (!decided.insert(signer).second) continue;
+      if (pki.Verify(signer, context, digest, signature)) ++count;
+    }
+    return count;
+  }
+
+  static crypto::Signature RandomSignature(Rng& rng) {
+    crypto::Signature sig;
+    for (auto& b : sig.bytes) b = static_cast<std::uint8_t>(rng.Next());
+    return sig;
+  }
+
+  crypto::PrivateKey intruder_;  // registered, but not an organization key
+  static constexpr crypto::KeyId kUnregistered = 999999;
+};
+
+TEST_F(VerifyReference, ValidateTransactionMatchesScalarLoop) {
+  Rng rng(2024);
+  std::map<TxVerdict, int> seen_verdicts;
+  for (int round = 0; round < 3000; ++round) {
+    Proposal p = MakeProposal();
+    p.clock.counter = 1 + static_cast<std::uint64_t>(round);
+    const auto ops = MakeOps(p);
+    const crypto::Digest message =
+        EndorsementMessage(p.Digest(), WriteSetDigest(ops));
+    const std::size_t n = rng.NextBelow(6);  // 0..5 endorsements
+    std::vector<Endorsement> endorsements;
+    for (std::size_t i = 0; i < n; ++i) {
+      const crypto::PrivateKey& org = org_keys_[rng.NextBelow(4)];
+      Endorsement e{org.id(), org.Sign(kEndorseContext, message)};
+      switch (rng.NextBelow(8)) {
+        case 0:  // registered key outside the organization set
+          e = Endorsement{intruder_.id(),
+                          intruder_.Sign(kEndorseContext, message)};
+          break;
+        case 1:  // a key the PKI has never seen
+          e.org = kUnregistered;
+          break;
+        case 2:  // an earlier endorser again, well or badly signed
+          if (!endorsements.empty()) {
+            e.org = endorsements[rng.NextBelow(endorsements.size())].org;
+          }
+          break;
+        case 3:  // bad signature
+          e.signature = RandomSignature(rng);
+          break;
+        case 4:  // signed under the wrong context
+          e.signature = org.Sign(kTxContext, message);
+          break;
+        default:
+          break;
+      }
+      endorsements.push_back(e);
+    }
+    const bool bad_client = rng.NextBelow(6) == 0;
+    const auto tx = Transaction::Assemble(p, ops, std::move(endorsements),
+                                          bad_client ? intruder_ : client_key_);
+    const EndorsementPolicy policy{
+        1 + static_cast<std::uint32_t>(rng.NextBelow(4)), 4};
+    const TxVerdict expected = ScalarVerdict(*tx, pki_, org_key_ids_, policy);
+    ASSERT_EQ(ValidateTransaction(*tx, pki_, org_key_ids_, policy), expected)
+        << "round " << round << " expected " << TxVerdictName(expected);
+    ++seen_verdicts[expected];
+  }
+  // The generator reaches every verdict the signature checks can produce.
+  for (const TxVerdict v :
+       {TxVerdict::kValid, TxVerdict::kBadClientSignature,
+        TxVerdict::kInsufficientEndorsements, TxVerdict::kUnknownEndorser,
+        TxVerdict::kDuplicateEndorser, TxVerdict::kBadEndorsementSignature}) {
+    EXPECT_GE(seen_verdicts[v], 20) << TxVerdictName(v);
+  }
+}
+
+TEST_F(VerifyReference, CountValidDistinctMatchesFirstEntryRule) {
+  const std::string_view context = "orderless.test";
+  const crypto::Digest digest =
+      crypto::Sha256::Hash(std::string_view("attested"));
+  const crypto::PrivateKey& a = org_keys_[0];
+  const crypto::Signature good = a.Sign(context, digest);
+  const crypto::Signature bad = a.Sign(kTxContext, digest);
+  // A bad first entry is not rescued by a good duplicate.
+  EXPECT_EQ(pki_.CountValidDistinct(context, digest,
+                                    {{a.id(), bad}, {a.id(), good}},
+                                    org_key_ids_),
+            0u);
+  EXPECT_EQ(pki_.CountValidDistinct(context, digest,
+                                    {{a.id(), good}, {a.id(), bad}},
+                                    org_key_ids_),
+            1u);
+
+  Rng rng(77);
+  for (int round = 0; round < 3000; ++round) {
+    const std::size_t n = rng.NextBelow(6);  // 0..5 signatures
+    std::vector<std::pair<crypto::KeyId, crypto::Signature>> sigs;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng.NextBelow(6);
+      const crypto::PrivateKey& signer =
+          pick < 4 ? org_keys_[pick] : intruder_;
+      crypto::Signature sig = signer.Sign(context, digest);
+      if (rng.NextBelow(3) == 0) sig = RandomSignature(rng);
+      sigs.emplace_back(pick == 5 ? kUnregistered : signer.id(), sig);
+    }
+    ASSERT_EQ(pki_.CountValidDistinct(context, digest, sigs, org_key_ids_),
+              FirstEntryCount(pki_, context, digest, sigs, org_key_ids_))
+        << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

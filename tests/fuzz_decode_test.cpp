@@ -1,17 +1,62 @@
 // Decoder robustness: Byzantine peers can hand us arbitrary bytes. Every
-// decoder (operations, write-sets, CRDT states, proposals, vector clocks,
-// values) must reject mutated or truncated input gracefully — no crashes,
-// no exceptions, and where decoding "succeeds" after mutation, re-encoding
-// must still be internally consistent.
+// decoder (operations, write-sets, CRDT states, proposals, transactions,
+// vector clocks, values) must reject mutated or truncated input gracefully
+// — no crashes, no exceptions, no allocation sized by an unread count — and
+// where decoding "succeeds" after mutation, re-encoding must still be
+// internally consistent.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "common/rng.h"
 #include "clock/vector_clock.h"
 #include "core/transaction.h"
 #include "crdt/object.h"
 
+// The largest single heap request made while g_track_allocs is set, so a
+// test can check that a hostile count prefix does not size an allocation.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocs.load(std::memory_order_relaxed)) {
+    std::size_t largest = g_largest_alloc.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest_alloc.compare_exchange_weak(largest, size,
+                                                  std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Not inlined: GCC would otherwise see free() on memory from operator new
+// and warn about a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace orderless {
 namespace {
+
+/// Runs `decode` and returns the largest single allocation it requested.
+template <typename Decode>
+std::size_t LargestAllocDuring(Decode decode) {
+  g_largest_alloc.store(0, std::memory_order_relaxed);
+  g_track_allocs.store(true, std::memory_order_relaxed);
+  decode();
+  g_track_allocs.store(false, std::memory_order_relaxed);
+  return g_largest_alloc.load(std::memory_order_relaxed);
+}
 
 Bytes EncodeSampleOps(Rng& rng) {
   std::vector<crdt::Operation> ops;
@@ -65,6 +110,136 @@ TEST(FuzzDecode, TruncatedWriteSetsNeverCrash) {
       // fine — it must just never fault.
       (void)decoded;
     }
+  }
+}
+
+TEST(FuzzDecode, HostileCountsDoNotSizeAllocations) {
+  // 0x80 0x80 0x40 is 2^20 operations, the most DecodeOperations accepts,
+  // with nothing behind the count.
+  const Bytes ops_prefix = {0x80, 0x80, 0x40};
+  const std::size_t ops_alloc = LargestAllocDuring([&] {
+    codec::Reader r{BytesView(ops_prefix)};
+    EXPECT_FALSE(crdt::DecodeOperations(r).has_value());
+  });
+  EXPECT_LE(ops_alloc, 64u * 1024);
+
+  // One operation: object id "o", a valid type tag, then a path count of
+  // 1024 segments that never follow.
+  const Bytes path_prefix = {0x01, 'o',
+                             static_cast<std::uint8_t>(crdt::CrdtType::kMap),
+                             0x80, 0x08};
+  const std::size_t path_alloc = LargestAllocDuring([&] {
+    codec::Reader r{BytesView(path_prefix)};
+    EXPECT_FALSE(crdt::Operation::Decode(r).has_value());
+  });
+  EXPECT_LE(path_alloc, 4u * 1024);
+}
+
+TEST(FuzzDecode, MutatedTransactionsNeverCrash) {
+  crypto::Pki pki;
+  const crypto::PrivateKey client = pki.Generate("client");
+  std::vector<crypto::PrivateKey> orgs;
+  std::set<crypto::KeyId> org_ids;
+  for (int i = 0; i < 4; ++i) {
+    orgs.push_back(pki.Generate("org" + std::to_string(i)));
+    org_ids.insert(orgs.back().id());
+  }
+  const core::EndorsementPolicy policy{3, 4};
+
+  core::Proposal proposal;
+  proposal.client = client.id();
+  proposal.contract = "synthetic";
+  proposal.function = "Modify";
+  proposal.args = {crdt::Value("obj1"), crdt::Value(std::int64_t{5}),
+                   crdt::Value(2.5), crdt::Value(true)};
+  proposal.clock = clk::OpClock{client.id(), 9};
+  std::vector<crdt::Operation> ops;
+  for (int i = 0; i < 3; ++i) {
+    crdt::Operation op;
+    op.object_id = "obj" + std::to_string(i);
+    op.object_type = crdt::CrdtType::kMap;
+    op.path = {"k" + std::to_string(i)};
+    op.kind = crdt::OpKind::kAssignValue;
+    op.value_type = crdt::CrdtType::kMVRegister;
+    op.value = crdt::Value("v" + std::to_string(i));
+    op.clock = proposal.clock;
+    op.seq = static_cast<std::uint32_t>(i);
+    ops.push_back(std::move(op));
+  }
+  const crypto::Digest message = core::EndorsementMessage(
+      proposal.Digest(), core::WriteSetDigest(ops));
+  std::vector<core::Endorsement> endorsements;
+  for (const crypto::PrivateKey& org : orgs) {
+    endorsements.push_back(
+        core::Endorsement{org.id(), org.Sign(core::kEndorseContext, message)});
+  }
+  const auto tx = core::Transaction::Assemble(proposal, ops,
+                                              std::move(endorsements), client);
+  ASSERT_EQ(core::ValidateTransaction(*tx, pki, org_ids, policy),
+            core::TxVerdict::kValid);
+  codec::Writer w;
+  tx->Encode(w);
+  const Bytes encoded = w.Take();
+
+  // The unmutated bytes round-trip exactly. The wire size is the proposal
+  // and write-set as encoded, 40 bytes per endorsement and 80 more.
+  {
+    codec::Reader r{BytesView(encoded)};
+    const auto copy = core::Transaction::Decode(r);
+    ASSERT_NE(copy, nullptr);
+    EXPECT_TRUE(r.AtEnd());
+    copy->Seal();
+    codec::Writer again;
+    copy->Encode(again);
+    EXPECT_EQ(again.data(), encoded);
+    EXPECT_EQ(copy->WireSize(), tx->WireSize());
+    EXPECT_EQ(copy->ProposalDigest(), tx->ProposalDigest());
+    EXPECT_EQ(copy->OpsDigest(), tx->OpsDigest());
+    EXPECT_EQ(core::ValidateTransaction(*copy, pki, org_ids, policy),
+              core::TxVerdict::kValid);
+    codec::Writer fields;
+    proposal.Encode(fields);
+    crdt::EncodeOperations(ops, fields);
+    EXPECT_EQ(tx->WireSize(), fields.size() + 4 * 40 + 80);
+  }
+
+  // Whatever still decodes must seal, re-encode, size and validate without
+  // faulting, and its re-encoding must be stable.
+  const auto exercise = [&](const core::Transaction& decoded) {
+    decoded.Seal();
+    codec::Writer first;
+    decoded.Encode(first);
+    (void)decoded.WireSize();
+    (void)core::ValidateTransaction(decoded, pki, org_ids, policy);
+    codec::Reader r{BytesView(first.data())};
+    const auto again = core::Transaction::Decode(r);
+    ASSERT_NE(again, nullptr);
+    codec::Writer second;
+    again->Encode(second);
+    EXPECT_EQ(second.data(), first.data());
+    EXPECT_EQ(again->WireSize(), decoded.WireSize());
+  };
+  Rng rng(4242);
+  int decoded_count = 0;
+  for (int round = 0; round < 300; ++round) {
+    Bytes mutated = encoded;
+    const std::size_t mutations = 1 + rng.NextBelow(8);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      mutated[rng.NextBelow(mutated.size())] =
+          static_cast<std::uint8_t>(rng.Next());
+    }
+    codec::Reader r{BytesView(mutated)};
+    const auto decoded = core::Transaction::Decode(r);
+    if (decoded) {
+      ++decoded_count;
+      exercise(*decoded);
+    }
+  }
+  EXPECT_GT(decoded_count, 0);  // some mutations land in signatures or values
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+    codec::Reader r{BytesView(encoded.data(), cut)};
+    // The id is the last field, so no strict prefix decodes.
+    EXPECT_EQ(core::Transaction::Decode(r), nullptr) << "cut " << cut;
   }
 }
 

@@ -2,8 +2,11 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 
+#include "codec/codec.h"
 #include "common/rng.h"
 #include "ledger/bloom.h"
 #include "ledger/minilevel.h"
@@ -24,6 +27,34 @@ fs::path UniqueTempPath(const std::string& stem) {
   return fs::temp_directory_path() /
          (stem + "_" + std::to_string(getpid()) + "_" +
           std::to_string(next++));
+}
+
+// Replaces the one-byte bloom word count (after the 4-byte hash count at
+// the footer's bloom offset) with a varint of 2^62: a table that claims far
+// more bloom words than its bytes could hold.
+void SpliceHostileBloomCount(const fs::path& path) {
+  Bytes file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(file.size(), 32u);
+  codec::Reader footer(BytesView(file.data() + file.size() - 32, 32));
+  ASSERT_TRUE(footer.GetU64().has_value());  // index offset
+  const auto bloom_offset = footer.GetU64();
+  ASSERT_TRUE(bloom_offset.has_value());
+  const std::size_t count_at = static_cast<std::size_t>(*bloom_offset) + 4;
+  ASSERT_LT(count_at, file.size() - 32);
+  ASSERT_LT(file[count_at], 0x80) << "count is not a one-byte varint";
+  codec::Writer hostile;
+  hostile.PutVarint(std::uint64_t{1} << 62);
+  file.erase(file.begin() + static_cast<std::ptrdiff_t>(count_at));
+  file.insert(file.begin() + static_cast<std::ptrdiff_t>(count_at),
+              hostile.data().begin(), hostile.data().end());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
 }
 
 class MiniLevelTest : public testing::Test {
@@ -320,6 +351,41 @@ TEST(Sstable, CorruptFooterRejected) {
   }
   EXPECT_FALSE(SstableReader::Open(path.string()).ok());
   fs::remove(path);
+}
+
+TEST(Sstable, HostileBloomCountRejected) {
+  const fs::path path = UniqueTempPath("sstable_bloom");
+  std::vector<SstRecord> records;
+  for (int i = 0; i < 3; ++i) {
+    SstRecord rec;
+    rec.key = "key" + std::to_string(i);
+    rec.value = ToBytes("value");
+    records.push_back(std::move(rec));
+  }
+  ASSERT_TRUE(WriteSstable(path.string(), records).ok());
+  ASSERT_TRUE(SstableReader::Open(path.string()).ok());
+  SpliceHostileBloomCount(path);
+  EXPECT_FALSE(SstableReader::Open(path.string()).ok());
+  fs::remove(path);
+}
+
+// The restart path: the corrupt table is reached through the manifest, and
+// the reopen reports it as an error instead of throwing.
+TEST_F(MiniLevelTest, CorruptTableFailsReopenWithStatus) {
+  {
+    auto db = MiniLevel::Open(dir());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.value()->Put("k", ToBytes("v")).ok());
+    ASSERT_TRUE(db.value()->Flush().ok());
+    ASSERT_EQ(db.value()->sstable_count(), 1u);
+  }
+  std::vector<fs::path> tables;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".mlt") tables.push_back(entry.path());
+  }
+  ASSERT_EQ(tables.size(), 1u);
+  SpliceHostileBloomCount(tables[0]);
+  EXPECT_FALSE(MiniLevel::Open(dir()).ok());
 }
 
 TEST(Bloom, NoFalseNegativesAndLowFalsePositives) {

@@ -39,9 +39,8 @@ void Usage() {
       "  --threads N          simulation worker threads (orderless only;\n"
       "                       results are bit-identical at any N)\n"
       "  --prof               host-side engine profile (lane utilization,\n"
-      "                       barrier wait, scratch-pool + batch-crypto\n"
-      "                       counters; orderless only, simulated results\n"
-      "                       unchanged)\n"
+      "                       barrier wait, batch-crypto counters;\n"
+      "                       orderless only, simulated results unchanged)\n"
       "  --trace PATH         write Chrome trace-event JSON (Perfetto)\n"
       "  --trace-jsonl PATH   write one JSON object per trace event\n"
       "  --trace-filter K,K   only record the named event kinds\n"
