@@ -116,7 +116,7 @@ void BM_StateMerge(benchmark::State& state) {
   for (auto _ : state) {
     crdt::CrdtObject merged = a.CloneObject();
     merged.MergeState(b);
-    benchmark::DoNotOptimize(merged.applied_ops());
+    benchmark::DoNotOptimize(merged.root().OpCount());
   }
 }
 BENCHMARK(BM_StateMerge)->Arg(1000)->Arg(10000);

@@ -30,6 +30,31 @@ void EncodeContributions(const Contributions& contributions,
     w.PutI64(amount);
   }
 }
+
+// Reads what EncodeContributions wrote. A listed contribution counts once
+// however often it repeats, so the total matches the canonical re-encode.
+// Rejects what Apply could never have absorbed (a grow-only amount <= 0)
+// and a total outside int64_t.
+template <typename Contributions>
+bool DecodeContributions(codec::Reader& r, bool grow_only,
+                         Contributions& contributions, std::int64_t& total) {
+  const auto n = r.GetVarint();
+  if (!n) return false;
+  for (std::uint64_t i = 0; i < *n; ++i) {
+    const auto client = r.GetVarint();
+    const auto counter = r.GetVarint();
+    const auto seq = r.GetU32();
+    const auto amount = r.GetI64();
+    if (!client || !counter || !seq || !amount) return false;
+    if (grow_only && *amount <= 0) return false;
+    if (!contributions.emplace(OpId{*client, *counter, *seq}, *amount)
+             .second) {
+      continue;
+    }
+    if (__builtin_add_overflow(total, *amount, &total)) return false;
+  }
+  return true;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- G-Counter
@@ -58,17 +83,10 @@ void GCounterNode::Encode(codec::Writer& w) const {
 }
 
 std::unique_ptr<GCounterNode> GCounterNode::Decode(codec::Reader& r) {
-  const auto n = r.GetVarint();
-  if (!n) return nullptr;
   auto node = std::make_unique<GCounterNode>();
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    const auto client = r.GetVarint();
-    const auto counter = r.GetVarint();
-    const auto seq = r.GetU32();
-    const auto amount = r.GetI64();
-    if (!client || !counter || !seq || !amount) return nullptr;
-    node->contributions_.emplace(OpId{*client, *counter, *seq}, *amount);
-    node->total_ += *amount;
+  if (!DecodeContributions(r, /*grow_only=*/true, node->contributions_,
+                           node->total_)) {
+    return nullptr;
   }
   return node;
 }
@@ -116,17 +134,10 @@ void PNCounterNode::Encode(codec::Writer& w) const {
 }
 
 std::unique_ptr<PNCounterNode> PNCounterNode::Decode(codec::Reader& r) {
-  const auto n = r.GetVarint();
-  if (!n) return nullptr;
   auto node = std::make_unique<PNCounterNode>();
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    const auto client = r.GetVarint();
-    const auto counter = r.GetVarint();
-    const auto seq = r.GetU32();
-    const auto amount = r.GetI64();
-    if (!client || !counter || !seq || !amount) return nullptr;
-    node->contributions_.emplace(OpId{*client, *counter, *seq}, *amount);
-    node->total_ += *amount;
+  if (!DecodeContributions(r, /*grow_only=*/false, node->contributions_,
+                           node->total_)) {
+    return nullptr;
   }
   return node;
 }

@@ -21,11 +21,7 @@ void CrdtObject::ApplyOperations(const std::vector<Operation>& ops) {
 bool CrdtObject::ApplyOperation(const Operation& op) {
   if (op.object_id != id_) return false;
   if (op.object_type != root_type_) return false;
-  const auto key = std::make_pair(op.id(), op.ContentDigest());
-  if (applied_.contains(key)) return false;  // idempotent re-delivery
-  const bool ok = root_->Apply(op, 0);
-  if (ok) applied_.insert(key);
-  return ok;
+  return root_->Apply(op, 0);
 }
 
 ReadResult CrdtObject::Read(const std::vector<std::string>& path) const {
@@ -57,13 +53,11 @@ std::unique_ptr<CrdtObject> CrdtObject::DecodeState(
 void CrdtObject::MergeState(const CrdtObject& other) {
   if (other.root_type_ != root_type_) return;
   root_->MergeFrom(*other.root_);
-  applied_.insert(other.applied_.begin(), other.applied_.end());
 }
 
 CrdtObject CrdtObject::CloneObject() const {
   CrdtObject copy(id_, root_type_);
   copy.root_ = root_->Clone();
-  copy.applied_ = applied_;
   return copy;
 }
 

@@ -3,8 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "crdt/node.h"
@@ -24,18 +22,16 @@ class CrdtObject {
 
   /// Algorithm 1 (ApplyOperations): applies each modification in order,
   /// creating missing path locations and resolving conflicts per CRDT type.
-  /// Duplicate operations (same id and content) are idempotent.
+  /// Re-applying an operation (same id and content) leaves the state as it
+  /// was: every node type dedups on its own (docs/crdt-semantics.md §2).
   void ApplyOperations(const std::vector<Operation>& ops);
 
   /// Applies a single operation; returns false if it was ignored
-  /// (wrong object id/type, duplicate, or type-incompatible path).
+  /// (wrong object id/type, or type-incompatible path).
   bool ApplyOperation(const Operation& op);
 
   /// Read API (Table 1): value at `path` from the object's root.
   ReadResult Read(const std::vector<std::string>& path = {}) const;
-
-  /// Number of distinct operations absorbed.
-  std::size_t applied_ops() const { return applied_.size(); }
 
   const CrdtNode& root() const { return *root_; }
 
@@ -51,25 +47,9 @@ class CrdtObject {
   void MergeState(const CrdtObject& other);
 
  private:
-  /// Hash for the dedup key: the content digest is already uniform
-  /// (SHA-256), so folding the id fields into its prefix is enough.
-  struct AppliedKeyHash {
-    std::size_t operator()(
-        const std::pair<OpId, crypto::Digest>& k) const noexcept {
-      std::uint64_t h = k.second.Prefix64();
-      h ^= k.first.client * 0x9E3779B97F4A7C15ULL;
-      h ^= k.first.counter * 0xC2B2AE3D27D4EB4FULL;
-      h ^= static_cast<std::uint64_t>(k.first.seq) * 0x165667B19E3779F9ULL;
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   std::string id_;
   CrdtType root_type_;
   std::unique_ptr<CrdtNode> root_;
-  // Pure membership index (never iterated for output, so the unordered
-  // layout cannot leak into any encoding or simulated outcome).
-  std::unordered_set<std::pair<OpId, crypto::Digest>, AppliedKeyHash> applied_;
 };
 
 }  // namespace orderless::crdt

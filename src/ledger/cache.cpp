@@ -16,15 +16,12 @@ CrdtCache::Entry& CrdtCache::GetOrCreate(const std::string& object_id,
   return *slot;
 }
 
-std::size_t CrdtCache::Apply(const std::vector<crdt::Operation>& ops) {
-  std::size_t absorbed = 0;
+void CrdtCache::Apply(const std::vector<crdt::Operation>& ops) {
   for (const auto& op : ops) {
     Entry& entry = GetOrCreate(op.object_id, op.object_type);
     std::lock_guard<std::mutex> lock(entry.mutex);
-    if (entry.object->ApplyOperation(op)) ++absorbed;
+    entry.object->ApplyOperation(op);
   }
-  total_ops_ += absorbed;
-  return absorbed;
 }
 
 crdt::ReadResult CrdtCache::Read(const std::string& object_id,
@@ -96,7 +93,6 @@ std::size_t CrdtCache::object_count() const {
 void CrdtCache::Clear() {
   std::lock_guard<std::mutex> lock(map_mutex_);
   entries_.clear();
-  total_ops_ = 0;
 }
 
 }  // namespace orderless::ledger

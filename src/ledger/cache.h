@@ -22,9 +22,9 @@ namespace orderless::ledger {
 class CrdtCache {
  public:
   /// Applies operations to their objects, creating objects on first touch.
-  /// Returns the number of operations actually absorbed (duplicates and
-  /// type-incompatible operations are ignored deterministically).
-  std::size_t Apply(const std::vector<crdt::Operation>& ops);
+  /// Re-delivered operations leave the state as it was, and type-incompatible
+  /// ones are ignored, identically on every replica.
+  void Apply(const std::vector<crdt::Operation>& ops);
 
   /// Reads an object's value at `path`; a missing object reads as absent.
   crdt::ReadResult Read(const std::string& object_id,
@@ -44,7 +44,6 @@ class CrdtCache {
   bool MergeEncodedState(const std::string& object_id, BytesView state);
 
   std::size_t object_count() const;
-  std::size_t total_ops() const { return total_ops_; }
 
   /// Drops everything (used when rebuilding from the persistent store).
   void Clear();
@@ -58,7 +57,6 @@ class CrdtCache {
 
   mutable std::mutex map_mutex_;
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
-  std::size_t total_ops_ = 0;
 };
 
 }  // namespace orderless::ledger

@@ -1,18 +1,22 @@
 #include "ledger/hashchain.h"
 
-#include "codec/codec.h"
+#include <array>
+#include <cstring>
 
 namespace orderless::ledger {
 
 crypto::Digest Block::ComputeHash(std::uint64_t height,
                                   const crypto::Digest& prev_hash,
                                   const crypto::Digest& tx_digest, bool valid) {
-  codec::Writer w;
-  w.PutU64(height);
-  w.PutRaw(prev_hash.View());
-  w.PutRaw(tx_digest.View());
-  w.PutBool(valid);
-  return crypto::Sha256::Hash(BytesView(w.data()));
+  // The header bytes: little-endian height, the two digests, a verdict byte.
+  std::array<std::uint8_t, 8 + 32 + 32 + 1> header{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    header[i] = static_cast<std::uint8_t>(height >> (8 * i));
+  }
+  std::memcpy(header.data() + 8, prev_hash.bytes.data(), 32);
+  std::memcpy(header.data() + 40, tx_digest.bytes.data(), 32);
+  header[72] = valid ? 1 : 0;
+  return crypto::Sha256::Hash(BytesView(header.data(), header.size()));
 }
 
 const Block& HashChainLog::Append(const crypto::Digest& tx_digest, bool valid) {

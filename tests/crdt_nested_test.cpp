@@ -134,7 +134,6 @@ TEST(NestedMap, OpCountTracksStoredOperations) {
   obj.ApplyOperation(Op({"b"}, OpKind::kInsertValue, CrdtType::kMap,
                         Value(), 1, 2));
   EXPECT_EQ(obj.root().OpCount(), 3u);
-  EXPECT_EQ(obj.applied_ops(), 3u);
 }
 
 TEST(NestedMap, SerializationPreservesDeepNesting) {

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "crdt/leaf_nodes.h"
 #include "crdt/object.h"
+#include "crdt/sequence_node.h"
 
 namespace orderless::crdt {
 namespace {
@@ -465,6 +466,271 @@ TEST(MVRegisterReference, ScriptedEdgeCases) {
     EXPECT_EQ(node.ReadAt({}, 0).values, scripts[i].read);
   }
 }
+
+// Every node type absorbs a re-delivered operation without changing its
+// state (docs/crdt-semantics.md §2), so CrdtObject hands every delivery to
+// its root. The reference below applies each (op id, content digest) once,
+// and records it only after the object accepted it; the two must agree on
+// every state, including after a decode round trip, which keeps the
+// reference's record but not the object's history.
+
+crypto::Digest EncodedDigest(const Operation& op) {
+  codec::Writer w;
+  op.Encode(w);
+  return crypto::Sha256::Hash(BytesView(w.data()));
+}
+
+struct ExactlyOnceObject {
+  std::unique_ptr<CrdtObject> object;
+  std::set<std::pair<OpId, crypto::Digest>> applied;
+
+  void Apply(const Operation& op) {
+    auto key = std::make_pair(op.id(), EncodedDigest(op));
+    if (applied.contains(key)) return;
+    if (object->ApplyOperation(op)) applied.insert(std::move(key));
+  }
+};
+
+// Small id and value spaces, so fresh draws also collide with earlier ids
+// under other content. Client 0 at counter 0 is the implicit clock. A map
+// keeps every op it took, so its ops draw from fewer ids: that keeps its
+// state, and so the compare after every step, small.
+void DrawClock(Rng& rng, CrdtType root, Operation& op) {
+  if (root == CrdtType::kMap) {
+    op.clock = clk::OpClock{rng.NextBelow(2), rng.NextBelow(2)};
+    return;
+  }
+  op.clock = clk::OpClock{rng.NextBelow(3), rng.NextBelow(3)};
+  op.seq = static_cast<std::uint32_t>(rng.NextBelow(2));
+}
+
+// An element id in a map's sequence: one of two ids DrawClock makes.
+std::string DrawSequenceId(Rng& rng) {
+  return std::to_string(rng.NextBelow(2)) + ".1.0";
+}
+
+// A map root's children: a register or map under "k" (inserted, deleted or
+// reached implicitly), a register and a counter in that nested map, a
+// G-counter under "kcnt", and a sequence under "doc".
+void DrawMapOp(Rng& rng, Operation& op) {
+  const double dice = rng.NextDouble();
+  if (dice < 0.15) {
+    static constexpr CrdtType kChildren[] = {
+        CrdtType::kNone, CrdtType::kMVRegister, CrdtType::kMap,
+        CrdtType::kGCounter};
+    op.kind = OpKind::kInsertValue;
+    op.path = {"k"};
+    op.value_type = kChildren[rng.NextBelow(4)];
+    if (op.value_type != CrdtType::kMap && rng.NextBool(0.5)) {
+      op.value = Value(1);
+    }
+  } else if (dice < 0.35) {
+    op.kind = OpKind::kAssignValue;
+    op.value_type = CrdtType::kMVRegister;
+    op.path = {"k"};
+    op.value = Value(rng.NextInRange(0, 1));
+  } else if (dice < 0.5) {
+    op.kind = OpKind::kAssignValue;
+    op.value_type = CrdtType::kMVRegister;
+    op.path = {"k", "x"};
+    op.value = Value(rng.NextInRange(0, 1));
+  } else if (dice < 0.6) {
+    op.kind = OpKind::kAddValue;
+    op.value_type = CrdtType::kGCounter;
+    op.path = {"k", "n"};
+    op.value = Value(rng.NextInRange(1, 2));
+  } else if (dice < 0.75) {
+    op.kind = OpKind::kAddValue;
+    op.value_type = CrdtType::kGCounter;
+    op.path = {"kcnt"};
+    op.value = Value(rng.NextInRange(1, 2));
+  } else {
+    op.value_type = CrdtType::kSequence;
+    if (rng.NextBool(0.75)) {
+      op.kind = OpKind::kInsertValue;
+      op.path = {"doc", rng.NextBool(0.3) ? SequenceNode::AnchorRootSegment()
+                                          : "a:" + DrawSequenceId(rng)};
+      op.value = Value("s");
+    } else {
+      op.kind = OpKind::kRemoveValue;
+      op.path = {"doc", "e:" + DrawSequenceId(rng)};
+    }
+  }
+}
+
+Operation FreshOp(Rng& rng, CrdtType root) {
+  Operation op;
+  op.object_id = "obj";
+  op.object_type = root;
+  op.value_type = root;
+  DrawClock(rng, root, op);
+  switch (root) {
+    case CrdtType::kGCounter:
+      op.kind = OpKind::kAddValue;
+      op.value = Value(rng.NextInRange(1, 3));
+      break;
+    case CrdtType::kPNCounter:
+      op.kind = OpKind::kAddValue;
+      op.value = Value(rng.NextInRange(-3, 3));
+      break;
+    case CrdtType::kMVRegister:
+    case CrdtType::kLWWRegister:
+      op.kind = OpKind::kAssignValue;
+      op.value = Value(rng.NextInRange(0, 3));
+      break;
+    case CrdtType::kORSet:
+      op.kind = rng.NextBool(0.6) ? OpKind::kAddValue : OpKind::kRemoveValue;
+      op.value = Value("e" + std::to_string(rng.NextBelow(3)));
+      break;
+    case CrdtType::kMap:
+      DrawMapOp(rng, op);
+      break;
+    case CrdtType::kNone:
+    case CrdtType::kSequence:
+      break;
+  }
+  return op;
+}
+
+// The same id with other content, as a Byzantine client could send. Values
+// stay within a few of the drawn ones, so variants of variants recur too.
+Operation Variant(Rng& rng, Operation op) {
+  if (op.value.IsInt()) {
+    // v % 3 + 1 != v for every v in [-3, 4], the range the draws cover.
+    op.value = Value(op.value.AsInt() % 3 + 1);
+  } else if (op.value.IsString()) {
+    const std::string& s = op.value.AsString();
+    op.value = Value(s.ends_with('\'') ? s.substr(0, s.size() - 1) : s + "'");
+  } else {
+    op.value = Value(1);
+  }
+  if (op.kind == OpKind::kRemoveValue && rng.NextBool(0.5)) {
+    op.kind = OpKind::kAddValue;
+  }
+  return op;
+}
+
+// An operation some layer must ignore: another object, another root type, a
+// kind or value its target does not take, or a path its target cannot
+// resolve.
+Operation Confused(Rng& rng, CrdtType root) {
+  Operation op = FreshOp(rng, root);
+  switch (rng.NextBelow(5)) {
+    case 0:
+      op.object_id = "other";
+      break;
+    case 1:
+      op.object_type = root == CrdtType::kMap ? CrdtType::kGCounter
+                                              : CrdtType::kMap;
+      break;
+    case 2:
+      if (root == CrdtType::kMap) {
+        op.path.clear();  // a leaf operation aimed at the map itself
+      } else {
+        op.kind = op.kind == OpKind::kAssignValue ? OpKind::kAddValue
+                                                  : OpKind::kInsertValue;
+      }
+      break;
+    case 3:
+      if (root == CrdtType::kMap) {
+        op.path = {"doc", "a:" + std::to_string(rng.NextBelow(3))};
+        op.kind = OpKind::kInsertValue;
+        op.value_type = CrdtType::kSequence;
+      } else {
+        op.path = {"k"};
+      }
+      break;
+    default:
+      if (root == CrdtType::kMap) {
+        // A register assignment on a counter's path.
+        op.path = {"kcnt"};
+        op.kind = OpKind::kAssignValue;
+        op.value_type = CrdtType::kMVRegister;
+      } else if (root == CrdtType::kGCounter && rng.NextBool(0.5)) {
+        op.value = Value(-rng.NextInRange(0, 2));
+      } else if (root == CrdtType::kGCounter ||
+                 root == CrdtType::kPNCounter) {
+        op.value = Value("x");
+      } else {
+        op.kind = root == CrdtType::kORSet ? OpKind::kAssignValue
+                                           : OpKind::kRemoveValue;
+      }
+      break;
+  }
+  return op;
+}
+
+// The root, and for a map every path DrawMapOp writes.
+std::vector<std::vector<std::string>> ReadPaths(CrdtType root) {
+  if (root != CrdtType::kMap) return {{}};
+  return {{}, {"k"}, {"k", "x"}, {"k", "n"}, {"kcnt"}, {"doc"}};
+}
+
+void ExpectSameObject(const CrdtObject& actual, const CrdtObject& reference,
+                      const std::vector<std::vector<std::string>>& paths) {
+  ASSERT_EQ(actual.EncodeState(), reference.EncodeState());
+  ASSERT_EQ(actual.root().OpCount(), reference.root().OpCount());
+  for (const auto& path : paths) {
+    const ReadResult a = actual.Read(path);
+    const ReadResult b = reference.Read(path);
+    ASSERT_EQ(a.exists, b.exists) << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(a.type, b.type) << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(a.counter, b.counter) << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(a.values, b.values) << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(a.keys, b.keys) << a.ToString() << " vs " << b.ToString();
+  }
+}
+
+class ExactlyOnceReference : public testing::TestWithParam<CrdtType> {};
+
+TEST_P(ExactlyOnceReference, EveryDeliveryMatchesOncePerContent) {
+  const CrdtType root = GetParam();
+  const auto paths = ReadPaths(root);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto actual = std::make_unique<CrdtObject>("obj", root);
+    ExactlyOnceObject reference{std::make_unique<CrdtObject>("obj", root), {}};
+    std::vector<Operation> delivered;
+    for (int step = 0; step < 2000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const double dice = rng.NextDouble();
+      Operation op;
+      if (dice < 0.3 && !delivered.empty()) {
+        op = delivered[rng.NextBelow(delivered.size())];
+      } else if (dice < 0.4 && !delivered.empty()) {
+        op = Variant(rng, delivered[rng.NextBelow(delivered.size())]);
+      } else if (dice < 0.5) {
+        op = Confused(rng, root);
+      } else {
+        op = FreshOp(rng, root);
+      }
+      actual->ApplyOperation(op);
+      reference.Apply(op);
+      delivered.push_back(std::move(op));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameObject(*actual, *reference.object, paths));
+      if ((step + 1) % 500 == 0) {
+        actual = CrdtObject::DecodeState("obj", actual->EncodeState());
+        reference.object =
+            CrdtObject::DecodeState("obj", reference.object->EncodeState());
+        ASSERT_NE(actual, nullptr);
+        ASSERT_NE(reference.object, nullptr);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRoots, ExactlyOnceReference,
+    testing::Values(CrdtType::kGCounter, CrdtType::kPNCounter,
+                    CrdtType::kMVRegister, CrdtType::kLWWRegister,
+                    CrdtType::kORSet, CrdtType::kMap),
+    [](const testing::TestParamInfo<CrdtType>& info) {
+      std::string name(CrdtTypeName(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace orderless::crdt

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "crdt/leaf_nodes.h"
 #include "crdt/map_node.h"
 #include "crdt/object.h"
@@ -65,7 +67,7 @@ TEST(GCounter, DuplicateOperationIsIdempotent) {
   const Operation op = Add("c", 5, 1, 1);
   obj.ApplyOperations({op, op, op});
   EXPECT_EQ(obj.Read().counter, 5);
-  EXPECT_EQ(obj.applied_ops(), 1u);
+  EXPECT_EQ(obj.root().OpCount(), 1u);
 }
 
 TEST(GCounter, RejectsNonPositive) {
@@ -101,6 +103,73 @@ TEST(PNCounter, AllowsDecrements) {
   };
   obj.ApplyOperations({pn(10, 1, 1), pn(-4, 2, 1), pn(-7, 1, 2)});
   EXPECT_EQ(obj.Read().counter, -1);
+}
+
+// --- Counter state decoding --------------------------------------------------
+
+struct Contribution {
+  std::uint64_t client;
+  std::uint64_t counter;
+  std::int64_t amount;
+};
+
+// CrdtObject::EncodeState bytes of a counter listing `entries` as given, in
+// that order and with seq 0: the canonical layout, but hand-built so it can
+// hold what no replica would write.
+Bytes CounterState(CrdtType type, const std::vector<Contribution>& entries) {
+  codec::Writer w;
+  w.PutU8(static_cast<std::uint8_t>(type));
+  w.PutVarint(entries.size());
+  for (const Contribution& c : entries) {
+    w.PutVarint(c.client);
+    w.PutVarint(c.counter);
+    w.PutU32(0);
+    w.PutI64(c.amount);
+  }
+  return w.Take();
+}
+
+TEST(CounterDecode, RepeatedContributionCountsOnce) {
+  for (const CrdtType type : {CrdtType::kGCounter, CrdtType::kPNCounter}) {
+    SCOPED_TRACE(CrdtTypeName(type));
+    const auto decoded = CrdtObject::DecodeState(
+        "c", CounterState(type, {{7, 3, 5}, {7, 3, 5}}));
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(decoded->Read().counter, 5);
+    // Same state bytes as a replica that applied the operation once.
+    CrdtObject once("c", type);
+    ASSERT_TRUE(once.ApplyOperation(
+        Op("c", type, {}, OpKind::kAddValue, type, Value(5), 7, 3)));
+    EXPECT_EQ(decoded->EncodeState(), once.EncodeState());
+    EXPECT_EQ(once.Read().counter, 5);
+  }
+}
+
+bool Decodes(CrdtType type, const std::vector<Contribution>& entries) {
+  return CrdtObject::DecodeState("c", CounterState(type, entries)) != nullptr;
+}
+
+TEST(CounterDecode, GrowOnlyRejectsNonPositiveAmounts) {
+  EXPECT_FALSE(Decodes(CrdtType::kGCounter, {{7, 3, -100}}));
+  EXPECT_FALSE(Decodes(CrdtType::kGCounter, {{7, 3, 4}, {7, 4, 0}}));
+  const auto pn = CrdtObject::DecodeState(
+      "c", CounterState(CrdtType::kPNCounter, {{7, 3, -100}}));
+  ASSERT_NE(pn, nullptr);
+  EXPECT_EQ(pn->Read().counter, -100);
+}
+
+TEST(CounterDecode, RejectsTotalsOutsideInt64) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const CrdtType type : {CrdtType::kGCounter, CrdtType::kPNCounter}) {
+    SCOPED_TRACE(CrdtTypeName(type));
+    EXPECT_FALSE(Decodes(type, {{1, 1, kMax}, {2, 1, 1}}));
+    const auto at_max = CrdtObject::DecodeState(
+        "c", CounterState(type, {{1, 1, kMax - 1}, {2, 1, 1}}));
+    ASSERT_NE(at_max, nullptr);
+    EXPECT_EQ(at_max->Read().counter, kMax);
+  }
+  EXPECT_FALSE(Decodes(CrdtType::kPNCounter, {{1, 1, kMin}, {2, 1, -1}}));
 }
 
 // --- MV-Register (Fig. 4) ----------------------------------------------------
