@@ -115,13 +115,7 @@ TimedRun Run(const ExperimentConfig& config) {
 }
 
 const char* KernelName(crypto::batch::Kernel k) {
-  switch (k) {
-    case crypto::batch::Kernel::kScalar: return "scalar";
-    case crypto::batch::Kernel::kWide4: return "wide4";
-    case crypto::batch::Kernel::kWide8: return "wide8";
-    case crypto::batch::Kernel::kShaNi: return "sha_ni";
-    default: return "auto";
-  }
+  return k == crypto::batch::Kernel::kShaNi ? "sha_ni" : "scalar";
 }
 
 struct CountedRun {

@@ -76,10 +76,9 @@ std::shared_ptr<Checkpoint> Checkpoint::Decode(codec::Reader& r) {
   }
   const auto object_count = r.GetU32();
   if (!object_count) return nullptr;
-  // Same guard: an object entry is at least 2 wire bytes (two varint
-  // lengths), so cap the reservation by what the buffer could even hold.
-  ckpt->objects.reserve(
-      std::min<std::size_t>(*object_count, r.remaining() / 2));
+  // No reservation: an entry can be two wire bytes (two empty lengths) but
+  // is a (string, Bytes) pair in memory, so a count-based reserve could
+  // outgrow the buffer. The vector grows only with entries actually read.
   for (std::uint32_t i = 0; i < *object_count; ++i) {
     auto object_id = r.GetString();
     auto state = r.GetBytes();

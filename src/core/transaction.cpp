@@ -214,8 +214,8 @@ TxVerdict ValidateTransaction(const Transaction& tx, const crypto::Pki& pki,
   }
   const crypto::Digest message = EndorsementMessage(proposal_digest, ws_digest);
 
-  // Hash the client signature and every endorsement keyed-hash in one
-  // multi-buffer pass, then report the first failure in endorsement order.
+  // Verify the client signature and every endorsement in one VerifyBatch
+  // call, then report the first failure in endorsement order.
   // The structural checks (unknown signer, duplicate) don't depend on
   // signature outcomes, so they are scanned first: a signature failure wins
   // only if it sits at an earlier index than the first structural failure,

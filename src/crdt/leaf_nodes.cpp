@@ -33,11 +33,12 @@ void EncodeContributions(const Contributions& contributions,
 
 // Reads what EncodeContributions wrote. A listed contribution counts once
 // however often it repeats, so the total matches the canonical re-encode.
-// Rejects what Apply could never have absorbed (a grow-only amount <= 0)
-// and a total outside int64_t.
+// Rejects what Apply could never have absorbed (a grow-only amount <= 0).
+// Any total is accepted: honest applies can sum past int64_t, and a
+// checkpoint of that state must install.
 template <typename Contributions>
 bool DecodeContributions(codec::Reader& r, bool grow_only,
-                         Contributions& contributions, std::int64_t& total) {
+                         Contributions& contributions, __int128& total) {
   const auto n = r.GetVarint();
   if (!n) return false;
   for (std::uint64_t i = 0; i < *n; ++i) {
@@ -47,13 +48,21 @@ bool DecodeContributions(codec::Reader& r, bool grow_only,
     const auto amount = r.GetI64();
     if (!client || !counter || !seq || !amount) return false;
     if (grow_only && *amount <= 0) return false;
-    if (!contributions.emplace(OpId{*client, *counter, *seq}, *amount)
-             .second) {
-      continue;
+    if (contributions.emplace(OpId{*client, *counter, *seq}, *amount)
+            .second) {
+      total += *amount;
     }
-    if (__builtin_add_overflow(total, *amount, &total)) return false;
   }
   return true;
+}
+
+// A counter's read value: its total clamped to the int64_t range.
+std::int64_t Saturate(__int128 total) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  if (total > kMax) return kMax;
+  if (total < kMin) return kMin;
+  return static_cast<std::int64_t>(total);
 }
 }  // namespace
 
@@ -74,7 +83,7 @@ ReadResult GCounterNode::ReadAt(const std::vector<std::string>& path,
   if (depth != path.size()) return r;
   r.type = CrdtType::kGCounter;
   r.exists = true;
-  r.counter = total_;
+  r.counter = Saturate(total_);
   return r;
 }
 
@@ -125,7 +134,7 @@ ReadResult PNCounterNode::ReadAt(const std::vector<std::string>& path,
   if (depth != path.size()) return r;
   r.type = CrdtType::kPNCounter;
   r.exists = true;
-  r.counter = total_;
+  r.counter = Saturate(total_);
   return r;
 }
 

@@ -42,14 +42,15 @@ class GCounterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return contributions_.size(); }
 
-  std::int64_t Total() const { return total_; }
-
   static std::unique_ptr<GCounterNode> Decode(codec::Reader& r);
 
  private:
   std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
       contributions_;
-  std::int64_t total_ = 0;
+  // Sum of contributions_. Honest adds can carry it past int64_t (two bids
+  // of 2^62), so it is held wide and saturated on read: the value stays a
+  // function of the contribution set, whatever the arrival order.
+  __int128 total_ = 0;
 };
 
 /// PN-Counter extension: increments and decrements.
@@ -64,14 +65,12 @@ class PNCounterNode final : public CrdtNode {
   void MergeFrom(const CrdtNode& other) override;
   std::size_t OpCount() const override { return contributions_.size(); }
 
-  std::int64_t Total() const { return total_; }
-
   static std::unique_ptr<PNCounterNode> Decode(codec::Reader& r);
 
  private:
   std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
       contributions_;
-  std::int64_t total_ = 0;
+  __int128 total_ = 0;  // held wide and saturated on read, as GCounterNode
 };
 
 /// Multi-value register: keeps the maximal antichain of assignments under

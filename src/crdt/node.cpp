@@ -1,6 +1,7 @@
 #include "crdt/node.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "crdt/leaf_nodes.h"
@@ -13,7 +14,12 @@ void ReadResult::MergeFrom(const ReadResult& other) {
   if (!other.exists) return;
   if (!exists) type = other.type;
   exists = true;
-  counter += other.counter;
+  // Concurrent counter children of one map key are summed; a counter's read
+  // saturates at the int64_t range, and so does this sum.
+  if (__builtin_add_overflow(counter, other.counter, &counter)) {
+    counter = other.counter < 0 ? std::numeric_limits<std::int64_t>::min()
+                                : std::numeric_limits<std::int64_t>::max();
+  }
   values.insert(values.end(), other.values.begin(), other.values.end());
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());

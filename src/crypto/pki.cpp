@@ -1,45 +1,31 @@
 #include "crypto/pki.h"
 
-#include <array>
 #include <cstring>
 
 namespace orderless::crypto {
 
 namespace {
-// Upper bound for the one-shot staging buffer: secret (32) + separators (2)
-// + context (<= 32) + a digest-sized or modestly larger message. Protocol
-// signatures all fit; anything bigger takes the incremental path.
-constexpr std::size_t kStackLimit = 160;
-
-/// Lays out secret ‖ 0x1f ‖ context ‖ 0x1f ‖ message into `buf` (capacity
-/// kStackLimit) and returns the length, or 0 if it does not fit.
-std::size_t StageKeyedInput(const Digest& secret, std::string_view context,
-                            BytesView message, std::uint8_t* buf) {
-  const std::size_t total =
-      secret.bytes.size() + 2 + context.size() + message.size();
-  if (total > kStackLimit) return 0;
-  std::uint8_t* p = buf;
-  std::memcpy(p, secret.bytes.data(), secret.bytes.size());
-  p += secret.bytes.size();
-  *p++ = 0x1f;
-  if (!context.empty()) {
-    std::memcpy(p, context.data(), context.size());
-    p += context.size();
-  }
-  *p++ = 0x1f;
-  if (!message.empty()) std::memcpy(p, message.data(), message.size());
-  return total;
-}
-
 Signature KeyedHash(const Digest& secret, std::string_view context,
                     BytesView message) {
-  // Fast path for the protocol's actual signatures: the whole input fits a
-  // stack buffer, so the hash runs as one update instead of five (each
-  // incremental Update pays block-boundary bookkeeping). Identical stream,
-  // identical digest.
-  std::uint8_t buf[kStackLimit];
-  if (const std::size_t total = StageKeyedInput(secret, context, message, buf);
-      total > 0) {
+  // Protocol signatures are secret (32) + separators (2) + a short context
+  // + a digest, so they fit a stack buffer and hash as one update instead of
+  // five (each incremental Update pays block-boundary bookkeeping). Larger
+  // inputs stream. Identical byte stream, identical digest.
+  constexpr std::size_t kStackLimit = 160;
+  const std::size_t total =
+      secret.bytes.size() + 2 + context.size() + message.size();
+  if (total <= kStackLimit) {
+    std::uint8_t buf[kStackLimit];
+    std::uint8_t* p = buf;
+    std::memcpy(p, secret.bytes.data(), secret.bytes.size());
+    p += secret.bytes.size();
+    *p++ = 0x1f;
+    if (!context.empty()) {
+      std::memcpy(p, context.data(), context.size());
+      p += context.size();
+    }
+    *p++ = 0x1f;
+    if (!message.empty()) std::memcpy(p, message.data(), message.size());
     return Sha256::Hash(BytesView(buf, total));
   }
   Sha256 h;
@@ -91,47 +77,22 @@ bool Pki::Verify(KeyId signer, std::string_view context, const Digest& digest,
 
 bool Pki::VerifyBatch(const BatchItem* items, std::size_t n,
                       bool* valid_out) const {
-  if (n > 0) batch::TallyVerify(n);  // no-op unless the profiler counts
   bool all = true;
-  // Fixed-size chunks keep the staging buffers on the stack; 16 lanes also
-  // matches the largest endorsement sets the experiments run.
-  constexpr std::size_t kChunk = 16;
-  std::array<std::array<std::uint8_t, kStackLimit>, kChunk> staged;
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t count = std::min(kChunk, n - base);
-    BytesView inputs[kChunk];
-    std::size_t hash_item[kChunk];  // item index behind each hash lane
-    std::size_t lanes = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const BatchItem& item = items[base + i];
-      const auto it = keys_.find(item.signer);
-      if (it == keys_.end()) {
-        valid_out[base + i] = false;
-        all = false;
-        continue;
-      }
-      const std::size_t len = StageKeyedInput(
-          it->second.secret, item.context, item.message, staged[lanes].data());
-      if (len == 0) {
-        // Oversize input: hash it alone, same as the scalar slow path.
-        valid_out[base + i] =
-            Verify(item.signer, item.context, item.message, item.signature);
-        all = all && valid_out[base + i];
-        continue;
-      }
-      inputs[lanes] = BytesView(staged[lanes].data(), len);
-      hash_item[lanes] = base + i;
-      ++lanes;
+  std::size_t hashes = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const BatchItem& item = items[i];
+    const auto it = keys_.find(item.signer);
+    bool ok = false;
+    if (it != keys_.end()) {
+      ++hashes;
+      ok = ConstantTimeEqual(
+          KeyedHash(it->second.secret, item.context, item.message).View(),
+          item.signature.View());
     }
-    Digest expected[kChunk];
-    Sha256::HashBatch(inputs, expected, lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const bool ok = ConstantTimeEqual(
-          expected[l].View(), items[hash_item[l]].signature.View());
-      valid_out[hash_item[l]] = ok;
-      all = all && ok;
-    }
+    valid_out[i] = ok;
+    all = all && ok;
   }
+  if (n > 0) batch::TallyVerify(n, hashes);  // no-op unless counting
   return all;
 }
 
@@ -140,7 +101,7 @@ std::size_t Pki::CountValidDistinct(
     const std::vector<std::pair<KeyId, Signature>>& signatures,
     const std::set<KeyId>& allowed) const {
   // The allowed/duplicate filters don't depend on verification outcomes,
-  // so pre-filter, verify the survivors in one multi-buffer pass, and
+  // so pre-filter, verify the survivors in one VerifyBatch call, and
   // count. Each allowed signer's first entry decides: a later entry for the
   // same signer is never verified, so [(A, bad), (A, good)] counts 0.
   std::set<KeyId> seen;

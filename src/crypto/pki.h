@@ -75,11 +75,10 @@ class Pki {
     Signature signature;
   };
 
-  /// Verifies `n` independent signatures in one multi-buffer hash pass
-  /// (Sha256::HashBatch), writing each item's verdict to valid_out[i].
-  /// Accept/reject decisions are exactly those of calling Verify() per item
-  /// — unknown signers are false without hashing. Returns true iff every
-  /// item verified.
+  /// Verifies `n` independent signatures, writing each item's verdict to
+  /// valid_out[i]. Accept/reject decisions are exactly those of calling
+  /// Verify() per item — unknown signers are false without hashing. Tallies
+  /// the call in batch::Counts(). Returns true iff every item verified.
   bool VerifyBatch(const BatchItem* items, std::size_t n,
                    bool* valid_out) const;
 

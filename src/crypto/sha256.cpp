@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "crypto/sha256_internal.h"
@@ -63,6 +64,94 @@ void CompressScalar(std::uint32_t state[8], const std::uint8_t* blocks,
 
 }  // namespace internal
 
+namespace batch {
+
+namespace {
+
+// One relaxed gate flag, relaxed per-counter atomics behind it. Exactness
+// across threads is not required: the profiler reads totals after the run,
+// when every worker has passed an epoch barrier.
+std::atomic<bool> g_count{false};
+std::atomic<std::uint64_t> g_hashes{0};
+std::atomic<std::uint64_t> g_verify_batches{0};
+std::atomic<std::uint64_t> g_verify_sigs{0};
+
+bool DetectShaNi() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+bool DetectAvx2() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+bool CpuHasShaNi() {
+  static const bool has = DetectShaNi();
+  return has;
+}
+
+bool CpuHasAvx2() {
+  static const bool has = DetectAvx2();
+  return has;
+}
+
+Kernel ActiveKernel(std::size_t /*n*/) {
+  return CpuHasShaNi() ? Kernel::kShaNi : Kernel::kScalar;
+}
+
+void SetCountDispatch(bool on) {
+  g_count.store(on, std::memory_order_relaxed);
+}
+
+DispatchCounts Counts() {
+  DispatchCounts c;
+  c.hashes = g_hashes.load(std::memory_order_relaxed);
+  c.verify_batches = g_verify_batches.load(std::memory_order_relaxed);
+  c.verify_sigs = g_verify_sigs.load(std::memory_order_relaxed);
+  return c;
+}
+
+void ResetCounts() {
+  g_hashes.store(0, std::memory_order_relaxed);
+  g_verify_batches.store(0, std::memory_order_relaxed);
+  g_verify_sigs.store(0, std::memory_order_relaxed);
+}
+
+void TallyVerify(std::size_t sigs, std::size_t hashes) {
+  if (!g_count.load(std::memory_order_relaxed)) return;
+  g_verify_batches.fetch_add(1, std::memory_order_relaxed);
+  g_verify_sigs.fetch_add(sigs, std::memory_order_relaxed);
+  g_hashes.fetch_add(hashes, std::memory_order_relaxed);
+}
+
+}  // namespace batch
+
+namespace {
+
+// SHA-NI when the CPU has it, scalar otherwise. The digest is the same
+// either way; only host time differs.
+void Compress(std::uint32_t state[8], const std::uint8_t* blocks,
+              std::size_t nblocks) {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (batch::CpuHasShaNi()) {
+    internal::CompressShaNi(state, blocks, nblocks);
+    return;
+  }
+#endif
+  internal::CompressScalar(state, blocks, nblocks);
+}
+
+}  // namespace
+
 std::string Digest::Hex() const { return ToHex(View()); }
 
 Digest Digest::FromHexOrZero(std::string_view hex) {
@@ -88,7 +177,7 @@ void Sha256::Update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == buffer_.size()) {
-      internal::Compress(state_.data(), buffer_.data(), 1);
+      Compress(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
@@ -96,7 +185,7 @@ void Sha256::Update(BytesView data) {
   // keep its state in registers across blocks.
   const std::size_t whole = (data.size() - offset) / 64;
   if (whole > 0) {
-    internal::Compress(state_.data(), data.data() + offset, whole);
+    Compress(state_.data(), data.data() + offset, whole);
     offset += whole * 64;
   }
   if (offset < data.size()) {

@@ -51,13 +51,6 @@ class Sha256 {
   static Digest Hash(BytesView data);
   static Digest Hash(std::string_view data);
 
-  /// Hashes `n` independent inputs: out[i] == Hash(inputs[i]) byte-for-byte.
-  /// With batch crypto enabled the work runs on the fastest kernel this CPU
-  /// has (SHA-NI, 8-wide AVX2 or 4-wide SSE2 multi-buffer); with it disabled
-  /// — or on machines with none of those — it is a plain scalar loop. Inputs
-  /// may have unequal lengths.
-  static void HashBatch(const BytesView* inputs, Digest* out, std::size_t n);
-
  private:
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
@@ -65,66 +58,37 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// Kernel selection controls for HashBatch and the incremental Sha256,
-/// exposed so tests can force every kernel through the FIPS vectors and
-/// benchmarks can measure each width on its own.
+/// Which compression kernel runs, and the counters behind the profiler's
+/// and the benchmark's crypto figures.
 namespace batch {
 
-/// kAuto = runtime dispatch by CPU capability: SHA-NI > 8-wide AVX2
-/// (batches of 5+) > 4-wide (batches of 2+) > scalar.
+/// Every hash compresses on SHA-NI when the CPU has it and on the portable
+/// scalar kernel otherwise. kAuto, kWide4 and kWide8 name no kernel; they
+/// stay so callers that switch over the enum keep compiling.
 enum class Kernel { kAuto, kScalar, kShaNi, kWide4, kWide8 };
 
 bool CpuHasShaNi();
 bool CpuHasAvx2();
 
-/// Overrides kernel selection. Returns false — leaving selection unchanged —
-/// if this CPU cannot run `k`. The wide kernels are portable (generic
-/// vectors), so only kShaNi can be refused.
-bool ForceKernel(Kernel k);
-Kernel ForcedKernel();
-
-/// The kernel HashBatch would use right now for a batch of `n` inputs.
+/// The kernel every hash runs on: kShaNi or kScalar, whatever `n` is.
 Kernel ActiveKernel(std::size_t n);
 
-/// Host-side dispatch statistics for the profiler (obs::Profiler): how many
-/// HashBatch calls landed on which kernel, and how much work the batched
-/// signature verifier pushed through them. Counting is OFF by default and
-/// gated on one relaxed atomic flag, so the default hot path pays a single
-/// predictable branch and never allocates; with counting on, tallies are
-/// relaxed atomics (organization lanes hash concurrently).
+/// Work done by Pki::VerifyBatch. Counting is OFF by default and gated on
+/// one relaxed atomic flag, so the default hot path pays a single
+/// predictable branch; with counting on, tallies are relaxed atomics
+/// (organization lanes verify concurrently).
 struct DispatchCounts {
-  std::uint64_t batches = 0;  // HashBatch calls (n > 0)
-  std::uint64_t hashes = 0;   // total inputs across those calls
-  std::uint64_t scalar = 0;   // batches landing on each kernel
-  std::uint64_t sha_ni = 0;
-  std::uint64_t wide4 = 0;
-  std::uint64_t wide8 = 0;
-  std::uint64_t verify_batches = 0;  // Pki::VerifyBatch multi-buffer passes
-  std::uint64_t verify_sigs = 0;     // signatures staged through them
+  std::uint64_t hashes = 0;          // keyed hashes computed (known signers)
+  std::uint64_t verify_batches = 0;  // VerifyBatch calls with n > 0
+  std::uint64_t verify_sigs = 0;     // items passed to those calls
 };
 
 void SetCountDispatch(bool on);
-bool CountDispatch();
 DispatchCounts Counts();
 void ResetCounts();
-/// Tally hook for the batched verifier (crypto/pki.cpp); no-op while
+/// Tally hook for one VerifyBatch call (crypto/pki.cpp); no-op while
 /// counting is off.
-void TallyVerify(std::size_t sigs);
-
-/// RAII kernel override; restores the previous selection on destruction.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(Kernel k);
-  ~ScopedKernel();
-  ScopedKernel(const ScopedKernel&) = delete;
-  ScopedKernel& operator=(const ScopedKernel&) = delete;
-  /// False if the requested kernel was refused (no CPU support).
-  bool ok() const { return ok_; }
-
- private:
-  Kernel prev_;
-  bool ok_;
-};
+void TallyVerify(std::size_t sigs, std::size_t hashes);
 
 }  // namespace batch
 

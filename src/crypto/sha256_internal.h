@@ -1,12 +1,10 @@
-// Internal kernel interface behind Sha256: shared constants plus the scalar,
-// SHA-NI and multi-buffer block-compression kernels HashBatch dispatches
-// over. Not part of the public crypto API — include crypto/sha256.h.
+// Internal kernel interface behind Sha256: shared constants plus the scalar
+// and SHA-NI block-compression kernels. Not part of the public crypto API —
+// include crypto/sha256.h.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "common/bytes.h"
-#include "crypto/sha256.h"
 
 namespace orderless::crypto::internal {
 
@@ -37,28 +35,5 @@ void CompressScalar(std::uint32_t state[8], const std::uint8_t* blocks,
 void CompressShaNi(std::uint32_t state[8], const std::uint8_t* blocks,
                    std::size_t nblocks);
 #endif
-
-/// Compression for the current dispatch policy: SHA-NI when the CPU has it
-/// and batch-crypto is enabled (or forced), scalar otherwise. The digest is
-/// the same either way; only host time differs.
-void Compress(std::uint32_t state[8], const std::uint8_t* blocks,
-              std::size_t nblocks);
-
-// GCC/Clang generic vector types: W lanes of one independent SHA-256 stream
-// each. The 4-lane form lowers to baseline SSE2 on x86-64 (and to NEON on
-// aarch64); the 8-lane form is instantiated in its own translation unit
-// compiled with -mavx2 so the lowering uses 256-bit ops.
-typedef std::uint32_t V4 __attribute__((vector_size(16)));
-typedef std::uint32_t V8 __attribute__((vector_size(32)));
-
-/// Multi-buffer hashing: out[i] = SHA-256(inputs[i]) for `n` independent,
-/// possibly unequal-length inputs, sizeof(V)/4 lanes at a time. Lanes that
-/// finish early re-compress their final block with the state update masked
-/// out, so unequal lengths stay byte-for-byte equal to the scalar hash.
-template <typename V>
-void HashWide(const BytesView* inputs, Digest* out, std::size_t n);
-
-extern template void HashWide<V4>(const BytesView*, Digest*, std::size_t);
-extern template void HashWide<V8>(const BytesView*, Digest*, std::size_t);
 
 }  // namespace orderless::crypto::internal

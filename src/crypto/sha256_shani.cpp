@@ -1,7 +1,6 @@
 // SHA-NI block compression. Kept in its own translation unit so only this
-// function carries the sha/sse4.1 target attributes; callers go through the
-// runtime dispatch in sha256_batch.cpp and never reach it on CPUs without
-// the extension.
+// function carries the sha/sse4.1 target attributes; Sha256 calls it only
+// after batch::CpuHasShaNi() reported the extension (sha256.cpp).
 #include "crypto/sha256_internal.h"
 
 #if defined(__x86_64__) || defined(_M_X64)

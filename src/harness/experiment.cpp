@@ -491,7 +491,7 @@ std::unique_ptr<Driver> MakeDriver(const ExperimentConfig& config) {
 }  // namespace
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  // Batch-crypto dispatch counting spans the whole run (setup included):
+  // Signature-verification counting spans the whole run (setup included):
   // the counters are process-wide relaxed atomics, flipped on only while a
   // profiler is attached so unprofiled runs pay a single predictable branch.
   if (config.profiler) {
@@ -589,12 +589,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     const crypto::batch::DispatchCounts c = crypto::batch::Counts();
     // Field-copy into the obs-side mirror struct: obs never links crypto.
     obs::CryptoSnapshot snap;
-    snap.batches = c.batches;
     snap.hashes = c.hashes;
-    snap.scalar = c.scalar;
-    snap.sha_ni = c.sha_ni;
-    snap.wide4 = c.wide4;
-    snap.wide8 = c.wide8;
     snap.verify_batches = c.verify_batches;
     snap.verify_sigs = c.verify_sigs;
     config.profiler->SetCrypto(snap);

@@ -106,7 +106,7 @@ struct ExperimentConfig {
   obs::Tracer* tracer = nullptr;
 
   /// Optional host-side profiler (not owned; OrderlessChain only): lane
-  /// utilization, barrier waits and batch-crypto dispatch counts. Null =
+  /// utilization, barrier waits and signature-verification counts. Null =
   /// zero profiler instructions on the hot path.
   obs::Profiler* profiler = nullptr;
 

@@ -53,12 +53,7 @@ void Profiler::Fill(MetricsRegistry& registry) const {
         .Set(static_cast<double>(active_lane_sum_) /
              static_cast<double>(epochs_));
   }
-  registry.counter("prof.crypto.batches").Add(crypto_.batches);
   registry.counter("prof.crypto.hashes").Add(crypto_.hashes);
-  registry.counter("prof.crypto.scalar").Add(crypto_.scalar);
-  registry.counter("prof.crypto.sha_ni").Add(crypto_.sha_ni);
-  registry.counter("prof.crypto.wide4").Add(crypto_.wide4);
-  registry.counter("prof.crypto.wide8").Add(crypto_.wide8);
   registry.counter("prof.crypto.verify_batches").Add(crypto_.verify_batches);
   registry.counter("prof.crypto.verify_sigs").Add(crypto_.verify_sigs);
 }
@@ -102,12 +97,9 @@ std::string Profiler::RenderText() const {
   }
 
   Appendf(out,
-          "crypto: batches %" PRIu64 " (scalar %" PRIu64 ", sha-ni %" PRIu64
-          ", wide4 %" PRIu64 ", wide8 %" PRIu64 ")  hashes %" PRIu64
-          "  verify-batches %" PRIu64 "  verify-sigs %" PRIu64 "\n",
-          crypto_.batches, crypto_.scalar, crypto_.sha_ni, crypto_.wide4,
-          crypto_.wide8, crypto_.hashes, crypto_.verify_batches,
-          crypto_.verify_sigs);
+          "crypto: hashes %" PRIu64 "  verify-batches %" PRIu64
+          "  verify-sigs %" PRIu64 "\n",
+          crypto_.hashes, crypto_.verify_batches, crypto_.verify_sigs);
   return out;
 }
 

@@ -3,7 +3,7 @@
 // Where the tracer answers "what did the *simulated* system do", the
 // profiler answers "what did the *host* spend running it": per-lane epoch
 // utilization (busy vs wall time on the worker pool), barrier-wait time and
-// batch-crypto kernel dispatch counts. All timestamps here are
+// signature-verification counts. All timestamps here are
 // std::chrono::steady_clock — host time, never sim::SimTime — so profiler
 // output varies by machine while the simulated results stay bit-identical
 // with or without it (bench/perf_hotpath cross-checks, same A/B proof as
@@ -27,16 +27,11 @@
 
 namespace orderless::obs {
 
-/// Batch-crypto dispatch snapshot (mirrors crypto::batch::DispatchCounts;
+/// Signature-verification snapshot (mirrors crypto::batch::DispatchCounts;
 /// duplicated as a plain struct so obs never links the crypto library —
 /// the harness copies the fields across).
 struct CryptoSnapshot {
-  std::uint64_t batches = 0;
   std::uint64_t hashes = 0;
-  std::uint64_t scalar = 0;
-  std::uint64_t sha_ni = 0;
-  std::uint64_t wide4 = 0;
-  std::uint64_t wide8 = 0;
   std::uint64_t verify_batches = 0;
   std::uint64_t verify_sigs = 0;
 };

@@ -208,7 +208,7 @@ TEST_F(TxFixture, ReceiptVerification) {
 // ---------------------------------------------------------------------------
 // Differential tests for the single (batched) verification path. Each
 // reference model is the plain per-signature loop that ran for small
-// batches before every size went through one multi-buffer pass.
+// batches before every size went through one VerifyBatch call.
 
 class VerifyReference : public TxFixture {
  protected:

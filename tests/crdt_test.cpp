@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "crdt/leaf_nodes.h"
@@ -158,18 +159,78 @@ TEST(CounterDecode, GrowOnlyRejectsNonPositiveAmounts) {
   EXPECT_EQ(pn->Read().counter, -100);
 }
 
-TEST(CounterDecode, RejectsTotalsOutsideInt64) {
+// Honest applies can sum past int64_t (CounterTotals below), so a state
+// holding such a total decodes: it reads clamped to the int64_t range and
+// re-encodes to the same bytes.
+TEST(CounterDecode, TotalsOutsideInt64ReadSaturated) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   for (const CrdtType type : {CrdtType::kGCounter, CrdtType::kPNCounter}) {
     SCOPED_TRACE(CrdtTypeName(type));
-    EXPECT_FALSE(Decodes(type, {{1, 1, kMax}, {2, 1, 1}}));
+    const Bytes above = CounterState(type, {{1, 1, kMax}, {2, 1, 1}});
+    const auto saturated = CrdtObject::DecodeState("c", above);
+    ASSERT_NE(saturated, nullptr);
+    EXPECT_EQ(saturated->Read().counter, kMax);
+    EXPECT_EQ(saturated->EncodeState(), above);
     const auto at_max = CrdtObject::DecodeState(
         "c", CounterState(type, {{1, 1, kMax - 1}, {2, 1, 1}}));
     ASSERT_NE(at_max, nullptr);
     EXPECT_EQ(at_max->Read().counter, kMax);
   }
-  EXPECT_FALSE(Decodes(CrdtType::kPNCounter, {{1, 1, kMin}, {2, 1, -1}}));
+  const Bytes below =
+      CounterState(CrdtType::kPNCounter, {{1, 1, kMin}, {2, 1, -1}});
+  const auto saturated = CrdtObject::DecodeState("c", below);
+  ASSERT_NE(saturated, nullptr);
+  EXPECT_EQ(saturated->Read().counter, kMin);
+  EXPECT_EQ(saturated->EncodeState(), below);
+}
+
+// Applies `amounts` (one op each, distinct ids from one client) in every
+// order, and as a state merge of two replicas split at every point of every
+// order. All must read `want` and encode the same bytes.
+void ExpectOrderFree(CrdtType type, const std::vector<std::int64_t>& amounts,
+                     std::int64_t want) {
+  std::vector<Operation> ops;
+  for (std::size_t i = 0; i < amounts.size(); ++i) {
+    ops.push_back(Op("c", type, {}, OpKind::kAddValue, type,
+                     Value(amounts[i]), 1, i + 1));
+  }
+  std::vector<std::size_t> order(ops.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Bytes expected;
+  do {
+    CrdtObject whole("c", type);
+    for (const std::size_t i : order) ASSERT_TRUE(whole.ApplyOperation(ops[i]));
+    EXPECT_EQ(whole.Read().counter, want);
+    if (expected.empty()) expected = whole.EncodeState();
+    EXPECT_EQ(whole.EncodeState(), expected);
+    for (std::size_t split = 1; split < order.size(); ++split) {
+      CrdtObject left("c", type);
+      CrdtObject right("c", type);
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        (k < split ? left : right).ApplyOperation(ops[order[k]]);
+      }
+      left.MergeState(right);
+      EXPECT_EQ(left.Read().counter, want) << "split " << split;
+      EXPECT_EQ(left.EncodeState(), expected) << "split " << split;
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+// Two AuctionContract bids of 2^62 from one client sum past int64_t; the
+// PN total of +2^62, +2^62, -2^62 fits, but one order passes 2^63 on the
+// way. Neither may overflow (UBSan) or depend on arrival order.
+TEST(CounterTotals, SumsPastInt64AreOrderFree) {
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  {
+    SCOPED_TRACE("g-counter");
+    ExpectOrderFree(CrdtType::kGCounter, {k62, k62},
+                    std::numeric_limits<std::int64_t>::max());
+  }
+  {
+    SCOPED_TRACE("pn-counter");
+    ExpectOrderFree(CrdtType::kPNCounter, {k62, k62, -k62}, k62);
+  }
 }
 
 // --- MV-Register (Fig. 4) ----------------------------------------------------
@@ -267,6 +328,20 @@ TEST(Map, ConcurrentInsertsBothKept) {
   // Both candidates live under the key (Fig. 3, no happened-before case).
   EXPECT_EQ(obj.Read().keys.size(), 1u);
   EXPECT_TRUE(obj.Read({"voter1"}).exists);
+}
+
+// Two concurrent inserts of one key keep two counter children, and an add
+// concurrent with both lands in each. The read sums the children and clamps
+// like a counter's own total.
+TEST(Map, ConcurrentCounterChildrenSumSaturates) {
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  CrdtObject obj("m", CrdtType::kMap);
+  obj.ApplyOperations(
+      {MapInsert("m", {"k"}, CrdtType::kGCounter, 1, 1),
+       MapInsert("m", {"k"}, CrdtType::kGCounter, 2, 1),
+       Op("m", CrdtType::kMap, {"k"}, OpKind::kAddValue, CrdtType::kGCounter,
+          Value(k62), 3, 1)});
+  EXPECT_EQ(obj.Read({"k"}).counter, std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(Map, ImplicitPathCreation) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "crypto/pki.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 
 namespace orderless::crypto {
 namespace {
@@ -143,72 +145,32 @@ TEST(Sha256, PaddingBoundaryVectors) {
   }
 }
 
-// Every kernel the CPU supports must produce the FIPS vectors through the
-// plain one-shot entry point (the incremental path shares the compression
-// function with HashBatch's scalar lane).
-TEST(Sha256, AllKernelsMatchFipsVectors) {
-  for (const batch::Kernel k :
-       {batch::Kernel::kScalar, batch::Kernel::kShaNi, batch::Kernel::kWide4,
-        batch::Kernel::kWide8}) {
-    batch::ScopedKernel forced(k);
-    if (!forced.ok()) continue;  // CPU cannot run this kernel
-    EXPECT_EQ(
-        Sha256::Hash(std::string_view("abc")).Hex(),
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-    EXPECT_EQ(
-        Sha256::Hash(std::string_view("")).Hex(),
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  }
-}
-
-// HashBatch must agree byte-for-byte with the scalar one-shot hash for every
-// kernel, every batch size (including the widths' remainder lanes), and
-// unequal input lengths straddling block boundaries.
-TEST(Sha256, HashBatchMatchesScalarAcrossKernels) {
+// The SHA-NI kernel must compress exactly like the portable scalar one:
+// random chaining states (not just the IV) over 1-5 consecutive blocks, so
+// multi-block calls that keep the state in registers are covered too. The
+// FIPS vectors above run on whichever kernel this CPU selects.
+TEST(Sha256, ShaNiCompressionMatchesScalar) {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (!batch::CpuHasShaNi()) GTEST_SKIP() << "CPU has no SHA-NI";
   std::uint64_t rng = 0x5eed;
-  std::vector<Bytes> inputs;
-  for (std::size_t i = 0; i < 29; ++i) {
-    // Lengths exercise empty, sub-block, exact-block and multi-block lanes.
-    const std::size_t len = (SplitMix(rng) % 200 == 0)
-                                ? 0
-                                : static_cast<std::size_t>(SplitMix(rng) % 300);
-    Bytes s(len, 0);
-    for (auto& c : s) c = static_cast<std::uint8_t>(SplitMix(rng) & 0xff);
-    inputs.push_back(std::move(s));
-  }
-  inputs.emplace_back();              // empty input in the batch
-  inputs.emplace_back(64, 'x');       // exact block
-  inputs.emplace_back(65, 'y');       // block + 1
-
-  std::vector<Digest> expected(inputs.size());
-  {
-    batch::ScopedKernel scalar(batch::Kernel::kScalar);
-    ASSERT_TRUE(scalar.ok());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      expected[i] = Sha256::Hash(BytesView(inputs[i]));
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t scalar[8];
+    for (auto& word : scalar) word = static_cast<std::uint32_t>(SplitMix(rng));
+    std::uint32_t sha_ni[8];
+    std::memcpy(sha_ni, scalar, sizeof scalar);
+    const std::size_t nblocks = 1 + static_cast<std::size_t>(trial % 5);
+    Bytes blocks(64 * nblocks);
+    for (auto& b : blocks) b = static_cast<std::uint8_t>(SplitMix(rng));
+    internal::CompressScalar(scalar, blocks.data(), nblocks);
+    internal::CompressShaNi(sha_ni, blocks.data(), nblocks);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(sha_ni[i], scalar[i])
+          << "trial " << trial << " blocks " << nblocks << " word " << i;
     }
   }
-
-  for (const batch::Kernel k :
-       {batch::Kernel::kScalar, batch::Kernel::kShaNi, batch::Kernel::kWide4,
-        batch::Kernel::kWide8, batch::Kernel::kAuto}) {
-    batch::ScopedKernel forced(k);
-    if (!forced.ok()) continue;
-    for (std::size_t n = 1; n <= inputs.size(); ++n) {
-      std::vector<BytesView> views;
-      views.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        views.emplace_back(inputs[i]);
-      }
-      std::vector<Digest> out(n);
-      Sha256::HashBatch(views.data(), out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i], expected[i])
-            << "kernel " << static_cast<int>(k) << " batch " << n << " lane "
-            << i;
-      }
-    }
-  }
+#else
+  GTEST_SKIP() << "SHA-NI kernel is x86-64 only";
+#endif
 }
 
 TEST(Pki, VerifyBatchMatchesScalarVerify) {
@@ -230,32 +192,67 @@ TEST(Pki, VerifyBatchMatchesScalarVerify) {
                                                         BytesView(m1))},
       {bob.id(), "endorse", BytesView(m2), tampered},
       {bob.id(), "endorse", BytesView(m3), bob.Sign("endorse", BytesView(m3))},
-      // Unknown signer: must be rejected without crediting the hash pass.
-      {mallory.id(), "endorse", BytesView(m1),
-       mallory.Sign("endorse", BytesView(m1))},
+      // Unknown signer: rejected without hashing. (`other` numbers its keys
+      // from 1 as well, so mallory.id() would name alice here.)
+      {9999, "endorse", BytesView(m1), mallory.Sign("endorse", BytesView(m1))},
       // Wrong context.
       {alice.id(), "commit", BytesView(m1), alice.Sign("endorse",
                                                        BytesView(m1))},
   };
 
-  for (const batch::Kernel k :
-       {batch::Kernel::kScalar, batch::Kernel::kShaNi, batch::Kernel::kWide4,
-        batch::Kernel::kWide8}) {
-    batch::ScopedKernel forced(k);
-    if (!forced.ok()) continue;
-    std::vector<bool> expected;
-    for (const auto& item : items) {
-      expected.push_back(pki.Verify(item.signer, item.context, item.message,
-                                    item.signature));
-    }
-    std::vector<std::uint8_t> got(items.size(), 0xAA);
-    const bool all = pki.VerifyBatch(items.data(), items.size(),
-                                     reinterpret_cast<bool*>(got.data()));
-    EXPECT_FALSE(all);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(got[i]), expected[i]) << "item " << i;
-    }
+  std::vector<bool> expected;
+  for (const auto& item : items) {
+    expected.push_back(pki.Verify(item.signer, item.context, item.message,
+                                  item.signature));
   }
+  std::vector<std::uint8_t> got(items.size(), 0xAA);
+  const bool all = pki.VerifyBatch(items.data(), items.size(),
+                                   reinterpret_cast<bool*>(got.data()));
+  EXPECT_FALSE(all);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(static_cast<bool>(got[i]), expected[i]) << "item " << i;
+  }
+}
+
+// The benchmark's crypto.verify_sigs_per_tx and crypto.hashes_per_tx, and
+// the verdict-table tests' call counts, read these tallies: one batch per
+// call, every item a signature, one keyed hash per known signer (a bad
+// signature is still hashed; an unknown signer is not). Counting off adds
+// nothing.
+TEST(Pki, VerifyBatchTalliesCallsItemsAndKnownSignerHashes) {
+  Pki pki;
+  const PrivateKey alice = pki.Generate("alice");
+  const PrivateKey bob = pki.Generate("bob");
+  const KeyId unknown = 9999;  // never issued by `pki`
+  const Bytes m = ToBytes("endorse tx");
+  Signature bad = bob.Sign("endorse", BytesView(m));
+  bad.bytes[0] ^= 0x01;
+  const std::vector<Pki::BatchItem> items = {
+      {alice.id(), "endorse", BytesView(m), alice.Sign("endorse", BytesView(m))},
+      {bob.id(), "endorse", BytesView(m), bad},
+      {bob.id(), "endorse", BytesView(m), bob.Sign("endorse", BytesView(m))},
+      {unknown, "endorse", BytesView(m), alice.Sign("endorse", BytesView(m))},
+  };
+  bool valid[4];
+
+  batch::SetCountDispatch(true);
+  const batch::DispatchCounts before = batch::Counts();
+  EXPECT_FALSE(pki.VerifyBatch(items.data(), items.size(), valid));
+  const batch::DispatchCounts after = batch::Counts();
+  batch::SetCountDispatch(false);
+  EXPECT_EQ(after.verify_batches - before.verify_batches, 1u);
+  EXPECT_EQ(after.verify_sigs - before.verify_sigs, 4u);
+  EXPECT_EQ(after.hashes - before.hashes, 3u);
+  EXPECT_TRUE(valid[0]);
+  EXPECT_FALSE(valid[1]);
+  EXPECT_TRUE(valid[2]);
+  EXPECT_FALSE(valid[3]);
+
+  pki.VerifyBatch(items.data(), items.size(), valid);
+  const batch::DispatchCounts off = batch::Counts();
+  EXPECT_EQ(off.verify_batches, after.verify_batches);
+  EXPECT_EQ(off.verify_sigs, after.verify_sigs);
+  EXPECT_EQ(off.hashes, after.hashes);
 }
 
 TEST(Pki, VerifyBatchAllValid) {

@@ -1,17 +1,20 @@
 // Decoder robustness: Byzantine peers can hand us arbitrary bytes. Every
 // decoder (operations, write-sets, CRDT states, proposals, transactions,
-// vector clocks, values) must reject mutated or truncated input gracefully
+// vector clocks, values, checkpoints and their attestations) must reject
+// mutated or truncated input gracefully
 // — no crashes, no exceptions, no allocation sized by an unread count — and
 // where decoding "succeeds" after mutation, re-encoding must still be
 // internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "common/rng.h"
 #include "clock/vector_clock.h"
+#include "core/checkpoint.h"
 #include "core/transaction.h"
 #include "crdt/object.h"
 
@@ -77,6 +80,74 @@ Bytes EncodeSampleOps(Rng& rng) {
   return w.Take();
 }
 
+template <typename T>
+Bytes EncodeOf(const T& value) {
+  codec::Writer w;
+  value.Encode(w);
+  return w.Take();
+}
+
+void MutateBytes(Rng& rng, Bytes& bytes, std::size_t max_mutations) {
+  const std::size_t mutations = 1 + rng.NextBelow(max_mutations);
+  for (std::size_t m = 0; m < mutations; ++m) {
+    bytes[rng.NextBelow(bytes.size())] = static_cast<std::uint8_t>(rng.Next());
+  }
+}
+
+/// A checkpoint sealed by org 0 over six covered ids and three PN-counter
+/// states, with attestations from orgs 1-3 (a 3-of-4 quorum).
+struct AttestedCheckpoint {
+  AttestedCheckpoint() {
+    std::vector<crypto::PrivateKey> orgs;
+    for (int i = 0; i < 4; ++i) {
+      orgs.push_back(pki.Generate("org" + std::to_string(i)));
+      org_ids.insert(orgs.back().id());
+    }
+    ckpt.seq = 3;
+    ckpt.origin = orgs[0].id();
+    ckpt.chain_height = 17;
+    ckpt.chain_head = crypto::Sha256::Hash(std::string_view("head"));
+    for (int i = 0; i < 6; ++i) {
+      const crypto::Digest id =
+          crypto::Sha256::Hash(std::string_view("tx" + std::to_string(i)));
+      ckpt.covered.push_back({id, i % 3 != 0});
+      if (i % 3 != 0) {
+        ++ckpt.valid_count;
+        ckpt.valid_xor ^= id.Prefix64();
+      }
+    }
+    std::sort(ckpt.covered.begin(), ckpt.covered.end(),
+              [](const auto& a, const auto& b) { return a.id < b.id; });
+    for (std::uint64_t o = 0; o < 3; ++o) {
+      const std::string object_id = "obj" + std::to_string(o);
+      crdt::CrdtObject obj(object_id, crdt::CrdtType::kPNCounter);
+      for (std::uint64_t c = 1; c <= 2 + 2 * o; ++c) {
+        crdt::Operation op;
+        op.object_id = object_id;
+        op.object_type = crdt::CrdtType::kPNCounter;
+        op.kind = crdt::OpKind::kAddValue;
+        op.value_type = crdt::CrdtType::kPNCounter;
+        op.value = crdt::Value(static_cast<std::int64_t>(c) - 3);
+        op.clock = clk::OpClock{c, c};
+        obj.ApplyOperation(op);
+      }
+      ckpt.objects.emplace_back(object_id, obj.EncodeState());
+    }
+    ckpt.Seal(orgs[0]);
+    attestations.ckpt_digest = ckpt.digest;
+    for (int i = 1; i < 4; ++i) {
+      attestations.attestations.push_back(core::CheckpointAttestation{
+          orgs[i].id(),
+          orgs[i].Sign(core::kCheckpointAttestContext, ckpt.digest)});
+    }
+  }
+
+  crypto::Pki pki;
+  std::set<crypto::KeyId> org_ids;
+  core::Checkpoint ckpt;
+  core::AttestationSet attestations;
+};
+
 TEST(FuzzDecode, MutatedWriteSetsNeverCrash) {
   Rng rng(31337);
   for (int round = 0; round < 300; ++round) {
@@ -133,6 +204,112 @@ TEST(FuzzDecode, HostileCountsDoNotSizeAllocations) {
     EXPECT_FALSE(crdt::Operation::Decode(r).has_value());
   });
   EXPECT_LE(path_alloc, 4u * 1024);
+
+  // An honest checkpoint and attestation set with one count overwritten by
+  // 2^32 - 1: whatever the decoders reserve must fit in the bytes given.
+  const AttestedCheckpoint honest;
+  const auto with_hostile_count = [](Bytes bytes, std::size_t offset) {
+    for (std::size_t i = 0; i < 4; ++i) bytes[offset + i] = 0xff;
+    return bytes;
+  };
+  const Bytes ckpt = EncodeOf(honest.ckpt);
+  // seq, origin, chain height (8 each), chain head (32), valid count and
+  // xor (8 each), then the covered count; 33 bytes per covered entry, then
+  // the object count.
+  const std::size_t covered_at = 3 * 8 + 32 + 2 * 8;
+  const std::size_t objects_at = covered_at + 4 + 33 * honest.ckpt.covered.size();
+  for (const std::size_t offset : {covered_at, objects_at}) {
+    const Bytes hostile = with_hostile_count(ckpt, offset);
+    const std::size_t alloc = LargestAllocDuring([&] {
+      codec::Reader r{BytesView(hostile)};
+      EXPECT_EQ(core::Checkpoint::Decode(r), nullptr);
+    });
+    EXPECT_LE(alloc, hostile.size()) << "count at " << offset;
+  }
+  // The attestation count follows the 32-byte checkpoint digest.
+  const Bytes hostile_set =
+      with_hostile_count(EncodeOf(honest.attestations), 32);
+  const std::size_t set_alloc = LargestAllocDuring([&] {
+    codec::Reader r{BytesView(hostile_set)};
+    core::AttestationSet out;
+    EXPECT_FALSE(core::AttestationSet::Decode(r, out));
+  });
+  EXPECT_LE(set_alloc, hostile_set.size());
+}
+
+// Checkpoints and attestations arrive from peers during catch-up. Mutated
+// and truncated bytes must never crash the three decoders, and a mutated
+// checkpoint that still verifies must re-encode to the original bytes, so
+// its covered ids, counters and object states are the original's: the
+// seal covers every field.
+TEST(FuzzDecode, MutatedCheckpointsNeverCrash) {
+  const AttestedCheckpoint honest;
+  ASSERT_TRUE(honest.ckpt.Verify(honest.pki, honest.org_ids));
+  ASSERT_TRUE(honest.attestations.HasQuorum(honest.pki, honest.org_ids, 3));
+  const Bytes ckpt = EncodeOf(honest.ckpt);
+  const Bytes set = EncodeOf(honest.attestations);
+  const Bytes one = EncodeOf(honest.attestations.attestations[0]);
+  {
+    codec::Reader r{BytesView(ckpt)};
+    const auto copy = core::Checkpoint::Decode(r);
+    ASSERT_NE(copy, nullptr);
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(EncodeOf(*copy), ckpt);
+  }
+
+  Rng rng(2718);
+  int decoded_checkpoints = 0;
+  int decoded_sets = 0;
+  for (int round = 0; round < 300; ++round) {
+    Bytes mutated = ckpt;
+    MutateBytes(rng, mutated, 8);
+    codec::Reader r{BytesView(mutated)};
+    if (const auto decoded = core::Checkpoint::Decode(r)) {
+      ++decoded_checkpoints;
+      (void)decoded->WireSizeBytes();
+      if (decoded->Verify(honest.pki, honest.org_ids)) {
+        // Only a mutation that left every byte as it was may verify.
+        EXPECT_EQ(EncodeOf(*decoded), ckpt) << "round " << round;
+      }
+    }
+
+    Bytes mutated_set = set;
+    MutateBytes(rng, mutated_set, 4);
+    codec::Reader set_reader{BytesView(mutated_set)};
+    core::AttestationSet out;
+    if (core::AttestationSet::Decode(set_reader, out)) {
+      ++decoded_sets;
+      EXPECT_LE(out.CountValid(honest.pki, honest.org_ids), 3u);
+    }
+
+    Bytes mutated_one = one;
+    MutateBytes(rng, mutated_one, 4);
+    codec::Reader one_reader{BytesView(mutated_one)};
+    core::CheckpointAttestation attestation;
+    if (core::CheckpointAttestation::Decode(one_reader, attestation)) {
+      (void)attestation.Verify(honest.pki, honest.ckpt.digest);
+    }
+  }
+  // Most mutations land in ids, states or signatures and still decode.
+  EXPECT_GT(decoded_checkpoints, 0);
+  EXPECT_GT(decoded_sets, 0);
+
+  // Every field is length-checked, and the digest and signature (or the
+  // last attestation) come last, so no strict prefix decodes.
+  for (std::size_t cut = 0; cut < ckpt.size(); ++cut) {
+    codec::Reader r{BytesView(ckpt.data(), cut)};
+    EXPECT_EQ(core::Checkpoint::Decode(r), nullptr) << "cut " << cut;
+  }
+  for (std::size_t cut = 0; cut < set.size(); ++cut) {
+    codec::Reader r{BytesView(set.data(), cut)};
+    core::AttestationSet out;
+    EXPECT_FALSE(core::AttestationSet::Decode(r, out)) << "cut " << cut;
+  }
+  for (std::size_t cut = 0; cut < one.size(); ++cut) {
+    codec::Reader r{BytesView(one.data(), cut)};
+    core::CheckpointAttestation out;
+    EXPECT_FALSE(core::CheckpointAttestation::Decode(r, out)) << "cut " << cut;
+  }
 }
 
 TEST(FuzzDecode, MutatedTransactionsNeverCrash) {

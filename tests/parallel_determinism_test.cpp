@@ -175,7 +175,7 @@ ExperimentArtifacts RunTracedExperiment(unsigned threads,
 TEST(ParallelExperiment, TracedRunBitIdenticalAcrossThreadCounts) {
   const ExperimentArtifacts baseline = RunTracedExperiment(1);
   ASSERT_FALSE(baseline.jsonl_trace.empty());
-  for (unsigned threads : {2u, 4u}) {
+  for (unsigned threads : {2u, 4u, 8u}) {
     const ExperimentArtifacts run = RunTracedExperiment(threads);
     EXPECT_EQ(run.events_processed, baseline.events_processed)
         << "threads=" << threads;

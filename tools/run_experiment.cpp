@@ -39,7 +39,7 @@ void Usage() {
       "  --threads N          simulation worker threads (orderless only;\n"
       "                       results are bit-identical at any N)\n"
       "  --prof               host-side engine profile (lane utilization,\n"
-      "                       barrier wait, batch-crypto counters;\n"
+      "                       barrier wait, signature-verify counters;\n"
       "                       orderless only, simulated results unchanged)\n"
       "  --trace PATH         write Chrome trace-event JSON (Perfetto)\n"
       "  --trace-jsonl PATH   write one JSON object per trace event\n"
