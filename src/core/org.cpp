@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/validation_cache.h"
 #include "crdt/object.h"
 #include "obs/trace.h"
 
 namespace orderless::core {
+
+namespace {
+
+/// True when `a` is preferred over `b` (null = nothing held): more covered
+/// valid commits, then the larger digest, so every org picks the same.
+bool Outranks(const Checkpoint& a, const Checkpoint* b) {
+  return b == nullptr || a.valid_count > b->valid_count ||
+         (a.valid_count == b->valid_count && a.digest.bytes > b->digest.bytes);
+}
+
+}  // namespace
 
 /// Exposes the organization's cache to executing contracts.
 class Organization::LedgerReadContext final : public ReadContext {
@@ -79,9 +91,6 @@ void Organization::Start() {
 void Organization::Stop() {
   running_ = false;
   network_.Unregister(node_);
-  // Queued FinishCommit events become no-ops, so admission records would
-  // leak; a crash empties the in-flight set either way.
-  admitted_.clear();
 }
 
 bool Organization::RecoverFromLedger() {
@@ -147,17 +156,21 @@ bool Organization::RecoverFromLedger() {
   }
   const bool consistent = ledger_.RecoverFromStore(base);
   catchup_stats_.recovered_records += ledger_.last_recovered_records();
-  commit_index_.clear();
+  txs_.clear();
   committed_count_ = 0;
   committed_xor_ = 0;
   ckpt_external_valid_ = 0;
   for (const auto& rec : ledger_.RecoverCommitIndex()) {
-    commit_index_[rec.id] = CommitRecord{rec.valid, rec.block_hash};
+    TxEntry& entry = txs_[rec.id];
+    entry.committed = true;
+    entry.valid = rec.valid;
+    entry.block_hash = rec.block_hash;
     if (rec.valid) {
       ++committed_count_;
       committed_xor_ ^= rec.id.Prefix64();
     }
   }
+  committed_ids_ = txs_.size();
   // Coverage the pruned prefix no longer has records for comes back from
   // the checkpoints; the installed one also re-merges its object states
   // (the sealed one's went in as the recovery base above).
@@ -201,7 +214,7 @@ bool Organization::RecoverFromLedger() {
     ledger_.ScanTransactionBodies([this](BytesView encoded) {
       codec::Reader r(encoded);
       auto tx = Transaction::Decode(r);
-      if (tx && commit_index_.contains(tx->id)) {
+      if (tx && txs_.contains(tx->id)) {
         tx->Seal();
         committed_txs_.push_back(std::move(tx));
       }
@@ -256,8 +269,10 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     // for; the pending-pull retry loop in GossipTick() repairs losses.
     auto pull = std::make_shared<GossipPullMsg>();
     for (const crypto::Digest& id : advert->ids) {
-      if (commit_index_.contains(id) || in_flight_.contains(id)) continue;
-      if (pending_pulls_.contains(id)) continue;
+      const auto it = txs_.find(id);
+      const bool known =
+          it != txs_.end() && (it->second.committed || it->second.in_flight);
+      if (known || pending_pulls_.contains(id)) continue;
       pending_pulls_[id] = PendingPull{delivery.from, 0, 0};
       pull->ids.push_back(id);
     }
@@ -271,8 +286,10 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     if (byzantine_.active && byzantine_.suppress_gossip) return;
     auto msg = std::make_shared<GossipMsg>();
     for (const crypto::Digest& id : pull->ids) {
-      const auto it = recent_txs_.find(id);
-      if (it != recent_txs_.end()) msg->txs.push_back(it->second.first);
+      const auto it = txs_.find(id);
+      if (it != txs_.end() && it->second.body) {
+        msg->txs.push_back(it->second.body);
+      }
     }
     if (!msg->txs.empty()) {
       if (obs::Tracer* t = simulation_.tracer()) {
@@ -335,10 +352,7 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
         ship = attested_ckpt_;
         ship_set = attested_set_;
         if (installed_ckpt_ != nullptr &&
-            (ship == nullptr ||
-             installed_ckpt_->valid_count > ship->valid_count ||
-             (installed_ckpt_->valid_count == ship->valid_count &&
-              installed_ckpt_->digest.bytes > ship->digest.bytes))) {
+            Outranks(*installed_ckpt_, ship.get())) {
           ship = installed_ckpt_;
           ship_set = installed_set_;
         }
@@ -600,10 +614,12 @@ void Organization::HandleCommit(sim::NodeId from,
   const sim::SimTime arrival = simulation_.now();
   // Admission is traced once per id: re-sent or gossiped copies of an id
   // already committed or already admitted record nothing (the dedup stage
-  // answers them from the indexes). The admission record serves only this
-  // trace event, so untraced runs keep none.
+  // answers them from the table). The admission flag serves only this trace
+  // event, so untraced runs create no entry here.
   if (obs::Tracer* t = simulation_.tracer()) {
-    if (!commit_index_.contains(tx->id) && admitted_.insert(tx->id).second) {
+    TxEntry& entry = txs_[tx->id];
+    if (!entry.committed && !entry.admitted) {
+      entry.admitted = true;
       t->Instant(obs::EventKind::kPipeAdmit, simulation_.now(), node_,
                  tx->id.Prefix64(), 0);
     }
@@ -615,37 +631,31 @@ void Organization::HandleCommit(sim::NodeId from,
                                                              from_gossip,
                                                              arrival] {
     if (!running_) return;
+    TxEntry& entry = txs_[tx->id];
     // Already committed: do not commit again; resend the receipt (paper §4).
-    const auto done = commit_index_.find(tx->id);
-    if (done != commit_index_.end()) {
+    if (entry.committed) {
       // A checkpoint install covered the id between admission and this
-      // dedup check — the admission record will never reach FinishCommit.
-      admitted_.erase(tx->id);
+      // dedup check — the admission will never reach FinishCommit.
+      entry.admitted = false;
       if (obs::Tracer* t = simulation_.tracer()) {
         t->Span(obs::EventKind::kPipeDedup,
                 simulation_.now() - timing_.dedup_check, simulation_.now(),
                 node_, tx->id.Prefix64(), 1);
       }
-      if (!from_gossip) {
-        auto reply = std::make_shared<CommitReplyMsg>();
-        reply->receipt = Receipt::Make(tx->id, done->second.valid,
-                                       done->second.block_hash, key_);
-        network_.Send(node_, from, reply);
-      }
+      if (!from_gossip) SendReceipt(from, tx->id, entry);
       return;
     }
     // Already being processed: just remember who else wants the receipt.
-    const auto inflight = in_flight_.find(tx->id);
-    if (inflight != in_flight_.end()) {
+    if (entry.in_flight) {
       if (obs::Tracer* t = simulation_.tracer()) {
         t->Span(obs::EventKind::kPipeDedup,
                 simulation_.now() - timing_.dedup_check, simulation_.now(),
                 node_, tx->id.Prefix64(), 2);
       }
-      if (!from_gossip) inflight->second.push_back(from);
+      if (!from_gossip) entry.waiters.push_back(from);
       return;
     }
-    in_flight_.emplace(tx->id, std::vector<sim::NodeId>{});
+    entry.in_flight = true;
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Span(obs::EventKind::kPipeDedup,
               simulation_.now() - timing_.dedup_check, simulation_.now(),
@@ -711,68 +721,46 @@ void Organization::FinishCommit(sim::NodeId from,
                                 std::shared_ptr<const Transaction> tx,
                                 bool from_gossip, TxVerdict verdict,
                                 sim::SimTime arrival) {
-  admitted_.erase(tx->id);
+  TxEntry& entry = txs_[tx->id];
+  entry.admitted = false;
+  entry.in_flight = false;
   // A checkpoint install can cover a transaction while it is in the
   // validate/commit pipeline; committing it again would double-append the
-  // block and double-count it. Serve the receipt from the adopted record.
-  if (const auto done = commit_index_.find(tx->id);
-      done != commit_index_.end()) {
-    std::vector<sim::NodeId> recipients;
-    if (!from_gossip) recipients.push_back(from);
-    if (const auto inflight = in_flight_.find(tx->id);
-        inflight != in_flight_.end()) {
-      for (sim::NodeId extra : inflight->second) recipients.push_back(extra);
-      in_flight_.erase(inflight);
-    }
-    for (sim::NodeId recipient : recipients) {
-      auto reply = std::make_shared<CommitReplyMsg>();
-      reply->receipt = Receipt::Make(tx->id, done->second.valid,
-                                     done->second.block_hash, key_);
-      network_.Send(node_, recipient, reply);
-    }
-    return;
-  }
-  const bool valid = verdict == TxVerdict::kValid;
-  // A static empty vector keeps both ternary branches lvalues: the old
-  // prvalue form deep-copied tx->ops (every string in every operation) on
-  // every valid commit just to pass a const reference.
-  static const std::vector<crdt::Operation> kNoOps;
-  const ledger::Block& block =
-      ledger_.Commit(tx->id, valid, valid ? tx->ops : kNoOps);
-  commit_index_[tx->id] = CommitRecord{valid, block.hash};
-  if (!valid) ++rejected_;
+  // block and double-count it. The receipts then carry the adopted record.
+  const bool fresh = !entry.committed;
+  if (fresh) {
+    const bool valid = verdict == TxVerdict::kValid;
+    // Both ternary branches are lvalues, so tx->ops is never copied.
+    static const std::vector<crdt::Operation> kNoOps;
+    const ledger::Block& block =
+        ledger_.Commit(tx->id, valid, valid ? tx->ops : kNoOps);
+    entry.committed = true;
+    entry.valid = valid;
+    entry.block_hash = block.hash;
+    ++committed_ids_;
+    if (!valid) ++rejected_;
 
-  phase_stats_.commit_count++;
-  phase_stats_.commit_time_us += simulation_.now() - arrival;
+    phase_stats_.commit_count++;
+    phase_stats_.commit_time_us += simulation_.now() - arrival;
 
-  if (obs::Tracer* t = simulation_.tracer()) {
-    t->Instant(obs::EventKind::kLedgerAppend, simulation_.now(), node_,
-               tx->id.Prefix64(), valid);
-    if (valid) {
-      t->CommitApplied(simulation_.now(), node_, tx->id.Prefix64());
+    if (obs::Tracer* t = simulation_.tracer()) {
+      t->Instant(obs::EventKind::kLedgerAppend, simulation_.now(), node_,
+                 tx->id.Prefix64(), valid);
+      if (valid) {
+        t->CommitApplied(simulation_.now(), node_, tx->id.Prefix64());
+      }
     }
   }
 
-  std::vector<sim::NodeId> recipients;
-  if (!from_gossip) recipients.push_back(from);
-  const auto inflight = in_flight_.find(tx->id);
-  if (inflight != in_flight_.end()) {
-    for (sim::NodeId extra : inflight->second) recipients.push_back(extra);
-    in_flight_.erase(inflight);
+  if (!from_gossip) SendReceipt(from, tx->id, entry);
+  for (sim::NodeId waiter : std::exchange(entry.waiters, {})) {
+    SendReceipt(waiter, tx->id, entry);
   }
-  for (sim::NodeId recipient : recipients) {
-    auto reply = std::make_shared<CommitReplyMsg>();
-    reply->receipt = Receipt::Make(tx->id, valid, block.hash, key_);
-    network_.Send(node_, recipient, reply);
-  }
+  if (!fresh) return;
 
-  if (valid) {
-    advert_queue_.emplace_back(tx->id, timing_.gossip_rounds);
-    // Keep the transaction around long enough to serve pulls triggered by
-    // the last advert round (one extra round-trip of slack).
-    const std::uint64_t expire_at = gossip_tick_ + timing_.gossip_rounds + 4;
-    recent_txs_[tx->id] = {tx, expire_at};
-    recent_expiry_.emplace_back(expire_at, tx->id);
+  if (entry.valid) {
+    gossip_fifo_.emplace_back(gossip_tick_, tx->id);
+    entry.body = tx;
     if (timing_.antientropy_interval > 0) {
       committed_txs_.push_back(tx);
       ++committed_count_;
@@ -784,15 +772,29 @@ void Organization::FinishCommit(sim::NodeId from,
   if (commit_observer_) commit_observer_(*tx, verdict);
 }
 
+void Organization::SendReceipt(sim::NodeId to, const crypto::Digest& id,
+                               const TxEntry& entry) {
+  auto reply = std::make_shared<CommitReplyMsg>();
+  reply->receipt = Receipt::Make(id, entry.valid, entry.block_hash, key_);
+  network_.Send(node_, to, reply);
+}
+
 void Organization::GossipTick() {
   if (!running_) return;  // crashed: let the timer chain die
   const bool suppressed = byzantine_.active && byzantine_.suppress_gossip;
-  if (!advert_queue_.empty() && !peers_.empty() && !suppressed) {
+  const std::uint64_t rounds = timing_.gossip_rounds;
+  // The FIFO is in commit-tick order, so the ids still inside their advert
+  // window are its tail. They age out whether or not they were actually
+  // advertised (a Byzantine organization silently withholds forwarding).
+  const auto advertised = std::partition_point(
+      gossip_fifo_.begin(), gossip_fifo_.end(), [&](const auto& committed) {
+        return committed.first + rounds <= gossip_tick_;
+      });
+  if (advertised != gossip_fifo_.end() && !peers_.empty() && !suppressed) {
     auto msg = std::make_shared<GossipAdvertMsg>();
-    msg->ids.reserve(advert_queue_.size());
-    for (const auto& [id, rounds] : advert_queue_) {
-      (void)rounds;
-      msg->ids.push_back(id);
+    msg->ids.reserve(gossip_fifo_.end() - advertised);
+    for (auto it = advertised; it != gossip_fifo_.end(); ++it) {
+      msg->ids.push_back(it->second);
     }
     const std::uint32_t fanout = std::min<std::uint32_t>(
         timing_.gossip_fanout, static_cast<std::uint32_t>(peers_.size()));
@@ -800,26 +802,12 @@ void Organization::GossipTick() {
       network_.Send(node_, peers_[idx], msg);
     }
   }
-  // Entries age out whether or not they were actually advertised (a
-  // Byzantine organization silently withholds forwarding).
-  for (auto& [id, rounds] : advert_queue_) {
-    (void)id;
-    --rounds;
-  }
-  std::erase_if(advert_queue_,
-                [](const auto& entry) { return entry.second == 0; });
-  // Expire the pull-serving buffer: the FIFO is in expiry order, so only
-  // the entries lapsing this tick are touched (a refreshed entry's stale
-  // FIFO record is skipped via the expiry recorded in the map).
+  // Stop serving pulls one round-trip of slack after the last advert.
   ++gossip_tick_;
-  while (!recent_expiry_.empty() &&
-         recent_expiry_.front().first <= gossip_tick_) {
-    const crypto::Digest id = recent_expiry_.front().second;
-    recent_expiry_.pop_front();
-    const auto it = recent_txs_.find(id);
-    if (it != recent_txs_.end() && it->second.second <= gossip_tick_) {
-      recent_txs_.erase(it);
-    }
+  while (!gossip_fifo_.empty() &&
+         gossip_fifo_.front().first + rounds + 4 <= gossip_tick_) {
+    txs_[gossip_fifo_.front().second].body = nullptr;
+    gossip_fifo_.pop_front();
   }
   // Pending-pull repair: a pull (or its reply) that got dropped leaves the
   // id waiting here; after `pull_retry_ticks` quiet ticks re-ask the
@@ -885,7 +873,7 @@ void Organization::CheckpointTick() {
     const sim::SimTime service =
         timing_.checkpoint.seal_base +
         timing_.checkpoint.seal_per_tx *
-            static_cast<sim::SimTime>(commit_index_.size());
+            static_cast<sim::SimTime>(committed_ids_);
     cache_lock_.Submit(service, [this] {
       if (!running_) return;
       seal_in_flight_ = false;
@@ -905,11 +893,13 @@ void Organization::SealCheckpoint() {
   ckpt->chain_head = ledger_.log().LastHash();
   ckpt->valid_count = committed_count_;
   ckpt->valid_xor = committed_xor_;
-  ckpt->covered.reserve(commit_index_.size());
-  for (const auto& [id, record] : commit_index_) {
-    ckpt->covered.push_back(Checkpoint::CoveredTx{id, record.valid});
+  ckpt->covered.reserve(committed_ids_);
+  for (const auto& [id, entry] : txs_) {
+    if (entry.committed) {
+      ckpt->covered.push_back(Checkpoint::CoveredTx{id, entry.valid});
+    }
   }
-  // The commit index is an unordered map: sort so the digest is canonical.
+  // The table is an unordered map: sort so the digest is canonical.
   std::sort(ckpt->covered.begin(), ckpt->covered.end(),
             [](const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
               return a.id.bytes < b.id.bytes;
@@ -947,28 +937,42 @@ void Organization::SealCheckpoint() {
   // From here on, `committed_txs_` accumulates the delta after this frontier
   // (what a sync reply ships alongside the checkpoint).
   committed_txs_.clear();
+  PruneBehind(*ckpt);
+}
 
-  if (timing_.checkpoint.prune) {
-    std::vector<crypto::Digest> covered_ids;
-    covered_ids.reserve(ckpt->covered.size());
-    for (const auto& tx : ckpt->covered) covered_ids.push_back(tx.id);
-    const std::size_t pruned = ledger_.PruneBehindCheckpoint(
-        ckpt->chain_height, ckpt->chain_head, covered_ids);
-    catchup_stats_.pruned_records += pruned;
-    ledger_.store().CompactRange();
-    if (obs::Tracer* t = simulation_.tracer()) {
-      t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
-                 ckpt->digest.Prefix64(), pruned);
-    }
+void Organization::PruneBehind(const Checkpoint& ckpt) {
+  if (!timing_.checkpoint.prune) return;
+  std::vector<crypto::Digest> covered_ids;
+  covered_ids.reserve(ckpt.covered.size());
+  for (const auto& tx : ckpt.covered) covered_ids.push_back(tx.id);
+  const std::size_t pruned = ledger_.PruneBehindCheckpoint(
+      ckpt.chain_height, ckpt.chain_head, covered_ids);
+  catchup_stats_.pruned_records += pruned;
+  ledger_.store().CompactRange();
+  if (obs::Tracer* t = simulation_.tracer()) {
+    t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
+               ckpt.digest.Prefix64(), pruned);
   }
+}
+
+void Organization::DropCoveredBodies(const Checkpoint& ckpt) {
+  if (committed_txs_.empty()) return;
+  std::unordered_set<crypto::Digest, crypto::DigestHash> covered;
+  covered.reserve(ckpt.covered.size());
+  for (const Checkpoint::CoveredTx& tx : ckpt.covered) covered.insert(tx.id);
+  std::erase_if(committed_txs_, [&covered](const auto& tx) {
+    return covered.contains(tx->id);
+  });
 }
 
 std::size_t Organization::AdoptCheckpointCoverage(const Checkpoint& ckpt) {
   std::size_t adopted_valid = 0;
   for (const Checkpoint::CoveredTx& covered : ckpt.covered) {
-    const auto [it, inserted] = commit_index_.emplace(
-        covered.id, CommitRecord{covered.valid, crypto::Digest{}});
-    if (!inserted) continue;
+    TxEntry& entry = txs_[covered.id];
+    if (entry.committed) continue;
+    entry.committed = true;
+    entry.valid = covered.valid;
+    ++committed_ids_;
     ++catchup_stats_.ckpt_txs_covered;
     pending_pulls_.erase(covered.id);
     if (covered.valid) {
@@ -992,16 +996,7 @@ void Organization::InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
   // delta buffer so our sync replies stay O(delta). Without this, an org
   // whose own seals never reach quorum would keep serving the full history
   // as bodies — O(history) traffic the checkpoint exists to avoid.
-  if (timing_.checkpoint.attest && !committed_txs_.empty()) {
-    std::unordered_set<crypto::Digest, crypto::DigestHash> covered;
-    covered.reserve(ckpt->covered.size());
-    for (const Checkpoint::CoveredTx& tx : ckpt->covered) {
-      covered.insert(tx.id);
-    }
-    std::erase_if(committed_txs_, [&covered](const auto& tx) {
-      return covered.contains(tx->id);
-    });
-  }
+  if (timing_.checkpoint.attest) DropCoveredBodies(*ckpt);
   // Pin the first quorum-backed checkpoint seen for the replay-stale
   // adversary (a Byzantine serving peer replays it forever).
   if (timing_.checkpoint.attest && stale_ckpt_ == nullptr) {
@@ -1011,12 +1006,7 @@ void Organization::InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
   // Keep the better of the current and new external checkpoints persisted,
   // with a deterministic tie-break, so a restart re-installs the best
   // coverage seen so far.
-  const bool better =
-      installed_ckpt_ == nullptr ||
-      ckpt->valid_count > installed_ckpt_->valid_count ||
-      (ckpt->valid_count == installed_ckpt_->valid_count &&
-       ckpt->digest.bytes > installed_ckpt_->digest.bytes);
-  if (better) {
+  if (Outranks(*ckpt, installed_ckpt_.get())) {
     installed_ckpt_ = ckpt;
     installed_set_ = std::move(attestations);
     codec::Writer encoded;
@@ -1134,13 +1124,14 @@ bool Organization::CanAttest(const Checkpoint& ckpt) const {
     }
   }
   if (count != ckpt.valid_count || xr != ckpt.valid_xor) return false;
-  // First-hand coverage: every covered transaction must be in our own
-  // commit index with the same verdict. Anything we never saw — or judged
-  // differently — is something we cannot vouch for, so we refuse rather
-  // than endorse an unverifiable claim.
+  // First-hand coverage: every covered transaction must be committed here
+  // with the same verdict. Anything we never saw — or judged differently —
+  // is something we cannot vouch for, so we refuse rather than endorse an
+  // unverifiable claim.
   for (const Checkpoint::CoveredTx& tx : ckpt.covered) {
-    const auto it = commit_index_.find(tx.id);
-    if (it == commit_index_.end() || it->second.valid != tx.valid) {
+    const auto it = txs_.find(tx.id);
+    if (it == txs_.end() || !it->second.committed ||
+        it->second.valid != tx.valid) {
       return false;
     }
   }
@@ -1183,31 +1174,8 @@ void Organization::PromoteAttestedCheckpoint() {
   // The covered prefix now has quorum-backed snapshot transport: drop it
   // from the delta buffer and reclaim the storage behind the frontier (what
   // the attestation-free path did at seal time).
-  if (!committed_txs_.empty()) {
-    std::unordered_set<crypto::Digest, crypto::DigestHash> covered;
-    covered.reserve(attested_ckpt_->covered.size());
-    for (const Checkpoint::CoveredTx& tx : attested_ckpt_->covered) {
-      covered.insert(tx.id);
-    }
-    std::erase_if(committed_txs_, [&covered](const auto& tx) {
-      return covered.contains(tx->id);
-    });
-  }
-  if (timing_.checkpoint.prune) {
-    std::vector<crypto::Digest> covered_ids;
-    covered_ids.reserve(attested_ckpt_->covered.size());
-    for (const auto& tx : attested_ckpt_->covered) {
-      covered_ids.push_back(tx.id);
-    }
-    const std::size_t pruned = ledger_.PruneBehindCheckpoint(
-        attested_ckpt_->chain_height, attested_ckpt_->chain_head, covered_ids);
-    catchup_stats_.pruned_records += pruned;
-    ledger_.store().CompactRange();
-    if (obs::Tracer* t = simulation_.tracer()) {
-      t->Instant(obs::EventKind::kCkptPrune, simulation_.now(), node_,
-                 attested_ckpt_->digest.Prefix64(), pruned);
-    }
-  }
+  DropCoveredBodies(*attested_ckpt_);
+  PruneBehind(*attested_ckpt_);
 }
 
 std::shared_ptr<const Checkpoint> Organization::MakeForgedCheckpoint(
@@ -1233,10 +1201,7 @@ crypto::Digest Organization::BestCheckpointDigest() const {
   // the choice is deterministic). Zero digest = nothing held yet.
   const Checkpoint* best = nullptr;
   for (const auto& candidate : {sealed_ckpt_, installed_ckpt_}) {
-    if (candidate == nullptr) continue;
-    if (best == nullptr || candidate->valid_count > best->valid_count ||
-        (candidate->valid_count == best->valid_count &&
-         candidate->digest.bytes > best->digest.bytes)) {
+    if (candidate != nullptr && Outranks(*candidate, best)) {
       best = candidate.get();
     }
   }

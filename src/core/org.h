@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,7 +99,7 @@ struct CatchupStats {
   std::uint64_t ckpt_sent = 0;        // checkpoint messages pushed to peers
   std::uint64_t ckpt_installed = 0;   // external checkpoints merged in
   std::uint64_t ckpt_rejected = 0;    // failed digest/signature verification
-  std::uint64_t ckpt_txs_covered = 0; // commit-index entries adopted from
+  std::uint64_t ckpt_txs_covered = 0; // tx ids adopted as committed from
                                       // checkpoints instead of re-pulled
   std::uint64_t sync_txs_sent = 0;    // bodies pushed in anti-entropy syncs
   std::uint64_t sync_txs_received = 0;// bodies received via gossip/sync
@@ -235,7 +234,7 @@ class Organization {
   bool running() const { return running_; }
 
   /// Restart path: rebuilds the hash chain, commit counters, CRDT cache and
-  /// the commit/dedup index from the ledger's persistent store. Call before
+  /// the transaction table from the ledger's persistent store. Call before
   /// Start() on an organization constructed over a pre-existing store.
   /// Returns false when recovered blocks fail the hash-chain cross-check.
   bool RecoverFromLedger();
@@ -296,6 +295,7 @@ class Organization {
 
  private:
   class LedgerReadContext;
+  struct TxEntry;
 
   void OnDelivery(const sim::Delivery& delivery);
   void HandleProposal(sim::NodeId from, std::shared_ptr<const ProposalMsg> msg);
@@ -309,6 +309,9 @@ class Organization {
   void FinishCommit(sim::NodeId from, std::shared_ptr<const Transaction> tx,
                     bool from_gossip, TxVerdict verdict,
                     sim::SimTime arrival);
+  /// Signs and sends the receipt of a committed `entry`.
+  void SendReceipt(sim::NodeId to, const crypto::Digest& id,
+                   const TxEntry& entry);
   void GossipTick();
   void AntiEntropyTick();
   void CheckpointTick();
@@ -318,9 +321,10 @@ class Organization {
   /// PromoteAttestedCheckpoint) and the seal is announced to every peer.
   void SealCheckpoint();
   /// Verified-checkpoint install: CRDT-merge the object states and adopt the
-  /// covered-transaction index. Runs on the cache-lock queue. `attestations`
-  /// is the quorum evidence that admitted the checkpoint (empty with
-  /// attestation off); it is persisted alongside so a restart can re-verify.
+  /// covered transactions as committed. Runs on the cache-lock queue.
+  /// `attestations` is the quorum evidence that admitted the checkpoint
+  /// (empty with attestation off); it is persisted alongside so a restart
+  /// can re-verify.
   void InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
                          AttestationSet attestations);
   /// Broadcasts the current seal (or, for a forging adversary, per-peer
@@ -330,8 +334,8 @@ class Organization {
                                 std::shared_ptr<const Checkpoint> ckpt);
   void HandleCheckpointAttest(const CheckpointAttestMsg& msg);
   /// The honest attestation predicate: the seal verifies, its counters are
-  /// consistent with its covered list, every covered transaction is in the
-  /// local commit index with the same verdict, and the local CRDT state
+  /// consistent with its covered list, every covered transaction is
+  /// committed locally with the same verdict, and the local CRDT state
   /// dominates every snapshotted object state (merging the checkpoint's copy
   /// into ours changes nothing). Anything this organization cannot vouch for
   /// first-hand is refused.
@@ -346,14 +350,18 @@ class Organization {
   /// when equivocating.
   std::shared_ptr<const Checkpoint> MakeForgedCheckpoint(
       std::uint64_t nonce) const;
-  /// Adopts covered ids into the commit/dedup index and the valid-commit
-  /// accumulators without touching object state (recovery re-installs
-  /// coverage from persisted checkpoints after the snapshot states were
-  /// already merged). Returns how many entries were new.
+  /// Marks covered ids committed in the transaction table and adds them to
+  /// the valid-commit accumulators without touching object state (recovery
+  /// re-installs coverage from persisted checkpoints after the snapshot
+  /// states were already merged). Returns how many valid ids were new.
   std::size_t AdoptCheckpointCoverage(const Checkpoint& ckpt);
   /// Digest of the best checkpoint already held (zero when none) — what a
   /// SyncRequest advertises so the responder can skip re-shipping it.
   crypto::Digest BestCheckpointDigest() const;
+  /// Removes the bodies `ckpt` covers from `committed_txs_`.
+  void DropCoveredBodies(const Checkpoint& ckpt);
+  /// Reclaims the store behind `ckpt`, an own seal, when pruning is on.
+  void PruneBehind(const Checkpoint& ckpt);
 
   sim::Simulation& simulation_;
   sim::Network& network_;
@@ -374,20 +382,27 @@ class Organization {
   std::set<crypto::KeyId> org_keys_;
   ByzantineOrgBehavior byzantine_;
 
-  // Ids still being advertised to peers: (tx id, remaining rounds).
-  std::vector<std::pair<crypto::Digest, std::uint32_t>> advert_queue_;
-  // Recently committed transactions kept to serve pulls: (tx, expiry tick).
-  // Expiry is driven by the FIFO below, so a tick touches only the entries
-  // that actually lapse instead of walking the whole buffer.
-  std::unordered_map<crypto::Digest,
-                     std::pair<std::shared_ptr<const Transaction>,
-                               std::uint64_t>,
-                     crypto::DigestHash>
-      recent_txs_;
-  // (expiry tick, id) in insertion order — monotone, since every entry gets
-  // the same TTL. A re-commit refreshes the map's expiry; the stale FIFO
-  // entry is skipped when it surfaces.
-  std::deque<std::pair<std::uint64_t, crypto::Digest>> recent_expiry_;
+  // Everything this organization knows about one transaction id (paper §4:
+  // validate it once, answer duplicates with the receipt, gossip what was
+  // committed). Committed entries live for the whole run.
+  struct TxEntry {
+    bool committed = false;  // `valid` and `block_hash` are final
+    bool valid = false;
+    bool in_flight = false;  // in the validate/commit pipeline
+    // Traced runs only: kPipeAdmit was emitted and the commit has not
+    // finished. Untraced runs create no entry before the dedup stage.
+    bool admitted = false;
+    crypto::Digest block_hash;  // zero for ids adopted from a checkpoint
+    std::vector<sim::NodeId> waiters;  // client senders seen while in flight
+    std::shared_ptr<const Transaction> body;  // kept while peers may pull it
+  };
+  std::unordered_map<crypto::Digest, TxEntry, crypto::DigestHash> txs_;
+  std::uint64_t committed_ids_ = 0;  // entries with `committed` set
+  // (gossip tick at commit, id) per valid commit, in commit order. An id
+  // committed while the tick read k is advertised while the tick reads t
+  // with k + R > t (R = gossip_rounds); once the tick reaches k + R + 4 its
+  // body is dropped and the pair popped.
+  std::deque<std::pair<std::uint64_t, crypto::Digest>> gossip_fifo_;
   std::uint64_t gossip_tick_ = 0;
   // Pulls awaiting their GossipMsg, keyed by tx id. Suppresses duplicate
   // pulls while outstanding, and — because a dropped PullRequest/PullReply
@@ -405,29 +420,10 @@ class Organization {
   // Full committed set, retained only when anti-entropy is enabled. Bodies
   // are persisted alongside the commit record, so recovery reloads the whole
   // set; summaries use the separate count / xor accumulators, which recovery
-  // restores from the commit index.
+  // restores from the ledger's commit records.
   std::vector<std::shared_ptr<const Transaction>> committed_txs_;
   std::uint64_t committed_count_ = 0;
   std::uint64_t committed_xor_ = 0;
-
-  // Commit index: verdict + block hash per transaction id, for dedup and
-  // receipt re-sends.
-  struct CommitRecord {
-    bool valid = false;
-    crypto::Digest block_hash;
-  };
-  std::unordered_map<crypto::Digest, CommitRecord, crypto::DigestHash>
-      commit_index_;
-  // Transactions currently in the validate/commit pipeline; extra client
-  // senders arriving meanwhile get their receipt on completion.
-  std::unordered_map<crypto::Digest, std::vector<sim::NodeId>,
-                     crypto::DigestHash>
-      in_flight_;
-
-  // Ids whose admission was traced (kPipeAdmit) and whose commit has not
-  // finished: released when the commit finishes, when the dedup stage finds
-  // it already committed, or at a crash. Empty in untraced runs.
-  std::unordered_set<crypto::Digest, crypto::DigestHash> admitted_;
 
   // Checkpoint state. `sealed_ckpt_` is this organization's own latest seal:
   // the only checkpoint whose chain fields may seed the chain base, the only

@@ -15,7 +15,7 @@ std::uint64_t HashKey(std::string_view key) {
   return h;
 }
 
-BloomFilter::BloomFilter(std::size_t expected_keys) : num_hashes_(7) {
+BloomFilter::BloomFilter(std::size_t expected_keys) : num_hashes_(kNumHashes) {
   // ~9.6 bits/key gives about 1% FPR with 7 hashes.
   std::size_t bits = expected_keys * 10;
   if (bits < 64) bits = 64;

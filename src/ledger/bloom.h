@@ -11,6 +11,10 @@ namespace orderless::ledger {
 
 class BloomFilter {
  public:
+  /// Probes per key. Every filter the SSTable writer builds uses this count,
+  /// so a table that records any other count is corrupt.
+  static constexpr std::uint32_t kNumHashes = 7;
+
   /// Sizes the filter for `expected_keys` at ~1% false-positive rate.
   explicit BloomFilter(std::size_t expected_keys);
   /// Wraps existing filter words (from an SSTable).

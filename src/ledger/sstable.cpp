@@ -132,8 +132,11 @@ Result<std::shared_ptr<SstableReader>> SstableReader::Open(
                                     *bloom_offset));
   const auto num_hashes = bloom.GetU32();
   const auto word_count = bloom.GetVarint();
-  // A corrupt count must not size the reservation below.
-  if (!num_hashes || !word_count || *word_count > bloom.remaining() / 8) {
+  // A corrupt word count must not size the reservation below, and a corrupt
+  // hash count must not set the probes of every lookup (2^32 - 1 of them
+  // made one Get take seconds).
+  if (!num_hashes || *num_hashes != BloomFilter::kNumHashes || !word_count ||
+      *word_count > bloom.remaining() / 8) {
     return Result<std::shared_ptr<SstableReader>>::Error(
         "sstable: bad bloom in " + path);
   }

@@ -1,15 +1,21 @@
 // Decoder robustness: Byzantine peers can hand us arbitrary bytes. Every
 // decoder (operations, write-sets, CRDT states, proposals, transactions,
-// vector clocks, values, checkpoints and their attestations) must reject
-// mutated or truncated input gracefully
+// vector clocks, values, checkpoints and their attestations, and the
+// MiniLevel WAL, SSTable and MANIFEST files) must reject mutated or
+// truncated input gracefully
 // — no crashes, no exceptions, no allocation sized by an unread count — and
 // where decoding "succeeds" after mutation, re-encoding must still be
 // internally consistent.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <new>
 
 #include "common/rng.h"
@@ -17,6 +23,7 @@
 #include "core/checkpoint.h"
 #include "core/transaction.h"
 #include "crdt/object.h"
+#include "ledger/minilevel.h"
 
 // The largest single heap request made while g_track_allocs is set, so a
 // test can check that a hostile count prefix does not size an allocation.
@@ -499,6 +506,140 @@ TEST(FuzzDecode, MutatedVectorClocksNeverCrash) {
     codec::Reader r{BytesView(mutated)};
     const auto decoded = clk::VectorClock::Decode(r);
     if (decoded) (void)decoded->ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MiniLevel files. A torn write or a flipped bit on disk is hostile input
+// too: whatever the WAL, an SSTable or the MANIFEST holds, Open must return
+// an error Status or a store whose every read completes, and no allocation
+// may exceed the largest file in the store.
+
+namespace fs = std::filesystem;
+
+Bytes ReadFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+/// Writes `bytes` over the start of an existing file without truncating it
+/// first, so rewriting a file of the same size stays cheap.
+void OverwriteFile(const fs::path& path, BytesView bytes) {
+  std::fstream out(path, std::ios::in | std::ios::out | std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string SampleKey(int i) {
+  std::string key = std::to_string(i);
+  return "k/" + std::string(4 - key.size(), '0') + key;
+}
+
+/// Two flushed SSTables of ~10 KiB each (larger than a file stream's
+/// buffer, so the allocation bound below is the files' and not the
+/// stream's), the MANIFEST listing them, and a WAL tail holding a
+/// rewrite, a delete and fresh keys: every MiniLevel file kind.
+class MiniLevelFiles {
+ public:
+  static constexpr int kKeys = 300;
+
+  // The process id keeps the stores of parallel test processes apart.
+  MiniLevelFiles()
+      : dir_(fs::temp_directory_path() /
+             ("fuzz_minilevel_" + std::to_string(getpid()))) {
+    fs::remove_all(dir_);
+    ledger::MiniLevelOptions options;
+    options.memtable_flush_bytes = 12 * 1024;
+    options.compaction_trigger = 100;
+    {
+      auto db = ledger::MiniLevel::Open(dir_.string(), options);
+      EXPECT_TRUE(db.ok()) << db.message();
+      for (int i = 0; i < kKeys; ++i) {
+        const std::string value(60, static_cast<char>('a' + i % 26));
+        EXPECT_TRUE(db.value()->Put(SampleKey(i), ToBytes(value)).ok());
+      }
+      EXPECT_TRUE(db.value()->Put(SampleKey(3), ToBytes("rewritten")).ok());
+      EXPECT_TRUE(db.value()->Delete(SampleKey(4)).ok());
+      EXPECT_GE(db.value()->sstable_count(), 2u);
+      EXPECT_GT(db.value()->memtable_entries(), 0u);
+    }
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      files_[entry.path().filename().string()] = ReadFile(entry.path());
+    }
+  }
+  ~MiniLevelFiles() { fs::remove_all(dir_); }
+
+  const std::map<std::string, Bytes>& files() const { return files_; }
+  fs::path path(const std::string& name) const { return dir_ / name; }
+
+  /// The largest file in the store while `name` holds `size` bytes.
+  std::size_t LargestFile(const std::string& name, std::size_t size) const {
+    for (const auto& [other, contents] : files_) {
+      if (other != name) size = std::max(size, contents.size());
+    }
+    return size;
+  }
+
+  /// Opens the store as the files now stand and reads every source. Returns
+  /// the largest allocation the open and the reads made.
+  std::size_t OpenAndRead() const {
+    return LargestAllocDuring([&] {
+      auto db = ledger::MiniLevel::Open(dir_.string());
+      if (!db.ok()) {
+        EXPECT_FALSE(db.message().empty());
+        return;
+      }
+      const ledger::MiniLevel& store = *db.value();
+      for (int i = 0; i < kKeys + 10; i += 7) (void)store.Get(SampleKey(i));
+      const auto visit = [](std::string_view, BytesView) { return true; };
+      store.ScanPrefix("", visit);
+      store.ScanPrefix("k/01", visit);
+      (void)store.ApproximateCount();
+    });
+  }
+
+ private:
+  fs::path dir_;
+  std::map<std::string, Bytes> files_;
+};
+
+TEST(FuzzDecode, MiniLevelFilesNeverCrashOrHang) {
+  MiniLevelFiles store;
+  ASSERT_FALSE(HasFailure());
+  std::size_t sstables = 0;
+  for (const auto& [name, bytes] : store.files()) {
+    if (name.rfind("sst_", 0) == 0) {
+      ++sstables;
+      EXPECT_GT(bytes.size(), 8u * 1024) << name;
+    }
+  }
+  ASSERT_GE(sstables, 2u);
+  ASSERT_TRUE(store.files().contains("MANIFEST"));
+  ASSERT_FALSE(store.files().at("wal.log").empty());
+
+  Rng rng(4242);
+  for (const auto& [name, pristine] : store.files()) {
+    const fs::path path = store.path(name);
+    const std::size_t largest = store.LargestFile(name, pristine.size());
+    for (int round = 0; round < 60; ++round) {
+      Bytes mutated = pristine;
+      MutateBytes(rng, mutated, 8);
+      OverwriteFile(path, BytesView(mutated));
+      EXPECT_LE(store.OpenAndRead(), largest) << name << " round " << round;
+    }
+    OverwriteFile(path, BytesView(pristine));
+    // Every truncation, longest first, so each one only shrinks the file.
+    for (std::size_t cut = pristine.size(); cut-- > 0;) {
+      fs::resize_file(path, cut);
+      EXPECT_LE(store.OpenAndRead(), store.LargestFile(name, cut))
+          << name << " cut " << cut;
+    }
+    {
+      std::ofstream restore(path, std::ios::binary | std::ios::trunc);
+      restore.write(reinterpret_cast<const char*>(pristine.data()),
+                    static_cast<std::streamsize>(pristine.size()));
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -365,6 +366,47 @@ TEST(Sstable, HostileBloomCountRejected) {
   ASSERT_TRUE(WriteSstable(path.string(), records).ok());
   ASSERT_TRUE(SstableReader::Open(path.string()).ok());
   SpliceHostileBloomCount(path);
+  EXPECT_FALSE(SstableReader::Open(path.string()).ok());
+  fs::remove(path);
+}
+
+TEST(Sstable, HostileBloomHashCountRejected) {
+  // A 3-key table whose bloom claims 2^32 - 1 probes over all-ones words:
+  // every probe hits, so each lookup would run all of them. The writer only
+  // ever records BloomFilter::kNumHashes, so the reader refuses the table.
+  const fs::path path = UniqueTempPath("sstable_hashes");
+  std::vector<SstRecord> records;
+  for (int i = 0; i < 3; ++i) {
+    SstRecord rec;
+    rec.key = "key" + std::to_string(i);
+    rec.value = ToBytes("value");
+    records.push_back(std::move(rec));
+  }
+  ASSERT_TRUE(WriteSstable(path.string(), records).ok());
+  ASSERT_TRUE(SstableReader::Open(path.string()).ok());
+  Bytes file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  codec::Reader footer(BytesView(file.data() + file.size() - 32, 32));
+  ASSERT_TRUE(footer.GetU64().has_value());  // index offset
+  const auto bloom_offset = footer.GetU64();
+  ASSERT_TRUE(bloom_offset.has_value());
+  // u32 hash count, one-byte varint word count, then the words up to the
+  // footer.
+  const std::size_t count_at = static_cast<std::size_t>(*bloom_offset);
+  ASSERT_LT(file[count_at + 4], 0x80) << "word count is not one byte";
+  std::fill(file.begin() + static_cast<std::ptrdiff_t>(count_at),
+            file.begin() + static_cast<std::ptrdiff_t>(count_at + 4), 0xff);
+  std::fill(file.begin() + static_cast<std::ptrdiff_t>(count_at + 5),
+            file.end() - 32, 0xff);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
   EXPECT_FALSE(SstableReader::Open(path.string()).ok());
   fs::remove(path);
 }

@@ -1,8 +1,12 @@
 // Focused protocol-behavior tests for Organization and Client: commit
-// deduplication and receipt re-sends, in-flight commit races, gossip aging,
-// anti-entropy reconciliation, Byzantine clock abuse, and liveness
-// bookkeeping.
+// deduplication and receipt re-sends, in-flight commit races, gossip aging
+// and its exact advert/serve windows, anti-entropy reconciliation, Byzantine
+// clock abuse, and liveness bookkeeping.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
 
 #include "contracts/filestore.h"
 #include "contracts/voting.h"
@@ -40,6 +44,11 @@ std::unique_ptr<harness::OrderlessNet> MakeNet(
 std::vector<crdt::Value> VoteArgs(std::int64_t party) {
   return {crdt::Value("e"), crdt::Value(party), crdt::Value(std::int64_t{4})};
 }
+
+// Node ids for test probes: registered on the network like any node, but
+// neither an organization (1..n) nor a client (1001..).
+constexpr sim::NodeId kProbe = 900;
+constexpr sim::NodeId kSecondProbe = 901;
 
 TEST(Organization, UnknownContractYieldsEndorsementError) {
   auto net = MakeNet(SmallConfig());
@@ -148,6 +157,171 @@ TEST(Organization, GossipQueueAgesOut) {
   const std::uint64_t sent_after_3s = net->network().messages_sent();
   net->simulation().RunUntil(sim::Sec(6));
   EXPECT_EQ(net->network().messages_sent(), sent_after_3s);
+}
+
+TEST(Organization, GossipWindowsAreExact) {
+  // The owner's only gossip peer is a probe. An id committed at t_commit is
+  // advertised on exactly R ticks (R = gossip_rounds), and its body serves
+  // pulls until the tick count reaches the commit tick + R + 4: a pull
+  // arriving before t_commit + (R+3)·I gets it, one arriving after
+  // t_commit + (R+4)·I gets nothing (I = gossip_interval).
+  constexpr std::uint32_t kRounds = 3;
+  constexpr sim::SimTime kInterval = sim::Ms(100);
+  constexpr sim::SimTime kMargin = sim::Ms(1);
+  auto config = SmallConfig();
+  config.net.jitter_stddev_ms = 0;
+  config.org_timing.gossip_rounds = kRounds;
+  config.org_timing.gossip_interval = kInterval;
+  auto net = MakeNet(config);
+  sim::Simulation& sim = net->simulation();
+  const sim::SimTime latency = config.net.one_way_latency;
+  const sim::NodeId owner = net->org_node(0);
+  std::set<crypto::KeyId> org_keys;
+  for (std::size_t i = 0; i < net->org_count(); ++i) {
+    org_keys.insert(net->org(i).key());
+  }
+  net->org(0).SetPeers({kProbe}, org_keys);
+
+  crypto::Digest id;
+  std::optional<sim::SimTime> committed_at;
+  net->org(0).SetCommitObserver(
+      [&](const core::Transaction& tx, core::TxVerdict verdict) {
+        if (verdict != core::TxVerdict::kValid) return;
+        id = tx.id;
+        committed_at = sim.now();
+      });
+  std::vector<sim::SimTime> adverts;  // arrivals of adverts naming the id
+  std::vector<sim::SimTime> bodies;   // arrivals of its body
+  net->network().Register(kProbe, [&](const sim::Delivery& d) {
+    if (const auto* advert =
+            dynamic_cast<const core::GossipAdvertMsg*>(d.message.get())) {
+      if (std::count(advert->ids.begin(), advert->ids.end(), id) > 0) {
+        adverts.push_back(sim.now());
+      }
+    } else if (const auto* gossip =
+                   dynamic_cast<const core::GossipMsg*>(d.message.get())) {
+      for (const auto& tx : gossip->txs) {
+        if (tx->id == id) bodies.push_back(sim.now());
+      }
+    }
+  });
+
+  net->client(0).SubmitModify("voting", "Vote", VoteArgs(1),
+                              [](const TxOutcome&) {});
+  while (!committed_at && sim.now() < sim::Sec(3)) {
+    sim.RunUntil(sim.now() + sim::Us(100));
+  }
+  ASSERT_TRUE(committed_at);
+
+  // With zero jitter a pull sent at s arrives at s + latency + a few µs of
+  // serialization.
+  const auto pull_arriving_at = [&](sim::SimTime arrival) {
+    sim.RunUntil(arrival - latency);
+    auto pull = std::make_shared<core::GossipPullMsg>();
+    pull->ids.push_back(id);
+    net->network().Send(kProbe, owner, pull);
+  };
+  const sim::SimTime served_until = *committed_at + (kRounds + 3) * kInterval;
+  const sim::SimTime dropped_after = *committed_at + (kRounds + 4) * kInterval;
+  pull_arriving_at(served_until - kMargin);
+  pull_arriving_at(dropped_after + kMargin);
+  sim.RunUntil(dropped_after + sim::Sec(2));
+
+  EXPECT_EQ(adverts.size(), kRounds);
+  ASSERT_EQ(bodies.size(), 1u) << "only the pull inside the window is served";
+  EXPECT_LT(bodies.front(), dropped_after);
+  // Both bounds are sharp only when the first tick after the commit is more
+  // than a margin away from the commit and from the next tick; otherwise an
+  // off-by-one serve window could pass unnoticed.
+  ASSERT_FALSE(adverts.empty());
+  const sim::SimTime first_tick = adverts.front() - latency;
+  EXPECT_GT(first_tick, *committed_at + kMargin);
+  EXPECT_LT(first_tick + kMargin, *committed_at + kInterval);
+}
+
+TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
+  // A checkpoint install can adopt an id while its commit is in the
+  // validate slice. The commit must then append no block and count nothing
+  // twice, and the sender and every waiter get the adopted record's
+  // receipt.
+  auto config = SmallConfig();
+  config.net.jitter_stddev_ms = 0;
+  config.org_timing.gossip_interval = sim::Ms(100);
+  // Checkpoints need anti-entropy enabled; this period never elapses here,
+  // so the lagging org can only learn of T from the probes.
+  config.org_timing.antientropy_interval = sim::Sec(1000);
+  config.org_timing.checkpoint.enabled = true;
+  config.org_timing.checkpoint.interval = sim::Ms(500);
+  config.org_timing.checkpoint.min_new_commits = 1;
+  auto net = MakeNet(config);
+  sim::Simulation& sim = net->simulation();
+  core::Organization& sealer = net->org(0);
+  core::Organization& lagger = net->org(3);
+  const sim::NodeId target = net->org_node(3);
+
+  // The sealer's commit hands the test a copy of T to re-send.
+  std::shared_ptr<const core::Transaction> tx;
+  sealer.SetCommitObserver([&tx](const core::Transaction& committed,
+                                 core::TxVerdict) {
+    codec::Writer w;
+    committed.Encode(w);
+    codec::Reader r{BytesView(w.data())};
+    auto copy = core::Transaction::Decode(r);
+    copy->Seal();
+    tx = std::move(copy);
+  });
+  net->network().SetPartition(target, 7);
+  bool committed = false;
+  net->client(0).SubmitModify("voting", "Vote", VoteArgs(1),
+                              [&committed](const TxOutcome& o) {
+                                committed = o.committed;
+                              });
+  sim.RunUntil(sim::Sec(3));
+  ASSERT_TRUE(committed);
+  ASSERT_NE(tx, nullptr);
+  const auto ckpt = sealer.sealed_checkpoint();
+  ASSERT_NE(ckpt, nullptr);
+  ASSERT_EQ(ckpt->covered.size(), 1u);
+  ASSERT_EQ(ckpt->covered.front().id, tx->id);
+  ASSERT_EQ(lagger.effective_committed_valid(), 0u);
+  net->network().HealPartitions();
+
+  std::map<sim::NodeId, std::vector<core::Receipt>> receipts;
+  for (const sim::NodeId probe : {kProbe, kSecondProbe}) {
+    net->network().Register(probe, [&receipts, probe](const sim::Delivery& d) {
+      if (const auto* reply =
+              dynamic_cast<const core::CommitReplyMsg*>(d.message.get())) {
+        receipts[probe].push_back(reply->receipt);
+      }
+    });
+  }
+  auto commit = std::make_shared<core::CommitMsg>();
+  commit->tx = tx;
+  auto checkpoint = std::make_shared<core::CheckpointMsg>();
+  checkpoint->ckpt = ckpt;
+  // The second copy lands after the first passed its dedup check; the
+  // checkpoint's verify and merge finish inside the first copy's validate
+  // slice.
+  const sim::SimTime start = sim.now();
+  net->network().Send(kProbe, target, commit);
+  sim.RunUntil(start + sim::Us(20));
+  net->network().Send(kSecondProbe, target, commit);
+  sim.RunUntil(start + sim::Us(50));
+  net->network().Send(kProbe, target, checkpoint);
+  sim.RunUntil(start + sim::Sec(1));
+
+  EXPECT_EQ(lagger.catchup_stats().ckpt_installed, 1u);
+  EXPECT_EQ(lagger.ledger().log().total_appended(), 0u) << "no block for T";
+  EXPECT_EQ(lagger.effective_committed_valid(), 1u) << "T counted once";
+  for (const sim::NodeId probe : {kProbe, kSecondProbe}) {
+    ASSERT_EQ(receipts[probe].size(), 1u) << "probe " << probe;
+    const core::Receipt& receipt = receipts[probe].front();
+    EXPECT_EQ(receipt.tx_id, tx->id);
+    EXPECT_TRUE(receipt.valid);
+    // An adopted record has no local block: its receipt carries a zero hash.
+    EXPECT_EQ(receipt.block_hash, crypto::Digest{}) << "probe " << probe;
+    EXPECT_TRUE(receipt.Verify(net->pki()));
+  }
 }
 
 TEST(Organization, AntiEntropyRepairsMissedDelivery) {
