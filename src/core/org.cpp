@@ -161,7 +161,7 @@ bool Organization::RecoverFromLedger() {
   committed_xor_ = 0;
   ckpt_external_valid_ = 0;
   for (const auto& rec : ledger_.RecoverCommitIndex()) {
-    TxEntry& entry = txs_[rec.id];
+    TxEntry& entry = txs_.FindOrInsert(rec.id).first;
     entry.committed = true;
     entry.valid = rec.valid;
     entry.block_hash = rec.block_hash;
@@ -214,7 +214,7 @@ bool Organization::RecoverFromLedger() {
     ledger_.ScanTransactionBodies([this](BytesView encoded) {
       codec::Reader r(encoded);
       auto tx = Transaction::Decode(r);
-      if (tx && txs_.contains(tx->id)) {
+      if (tx && txs_.Find(tx->id) != nullptr) {
         tx->Seal();
         committed_txs_.push_back(std::move(tx));
       }
@@ -269,9 +269,9 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     // for; the pending-pull retry loop in GossipTick() repairs losses.
     auto pull = std::make_shared<GossipPullMsg>();
     for (const crypto::Digest& id : advert->ids) {
-      const auto it = txs_.find(id);
+      const TxEntry* entry = txs_.Find(id);
       const bool known =
-          it != txs_.end() && (it->second.committed || it->second.in_flight);
+          entry != nullptr && (entry->committed || entry->in_flight);
       if (known || pending_pulls_.contains(id)) continue;
       pending_pulls_[id] = PendingPull{delivery.from, 0, 0};
       pull->ids.push_back(id);
@@ -285,10 +285,13 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
           dynamic_cast<const GossipPullMsg*>(delivery.message.get())) {
     if (byzantine_.active && byzantine_.suppress_gossip) return;
     auto msg = std::make_shared<GossipMsg>();
+    // An id is served while its FIFO pair is unpopped.
     for (const crypto::Digest& id : pull->ids) {
-      const auto it = txs_.find(id);
-      if (it != txs_.end() && it->second.body) {
-        msg->txs.push_back(it->second.body);
+      const TxEntry* entry = txs_.Find(id);
+      if (entry == nullptr || entry->fifo_position < gossip_popped_) continue;
+      const std::uint64_t offset = entry->fifo_position - gossip_popped_;
+      if (offset < gossip_fifo_.size()) {
+        msg->txs.push_back(gossip_fifo_[offset].second);
       }
     }
     if (!msg->txs.empty()) {
@@ -617,7 +620,7 @@ void Organization::HandleCommit(sim::NodeId from,
   // answers them from the table). The admission flag serves only this trace
   // event, so untraced runs create no entry here.
   if (obs::Tracer* t = simulation_.tracer()) {
-    TxEntry& entry = txs_[tx->id];
+    TxEntry& entry = txs_.FindOrInsert(tx->id).first;
     if (!entry.committed && !entry.admitted) {
       entry.admitted = true;
       t->Instant(obs::EventKind::kPipeAdmit, simulation_.now(), node_,
@@ -631,7 +634,7 @@ void Organization::HandleCommit(sim::NodeId from,
                                                              from_gossip,
                                                              arrival] {
     if (!running_) return;
-    TxEntry& entry = txs_[tx->id];
+    TxEntry& entry = txs_.FindOrInsert(tx->id).first;
     // Already committed: do not commit again; resend the receipt (paper §4).
     if (entry.committed) {
       // A checkpoint install covered the id between admission and this
@@ -652,7 +655,7 @@ void Organization::HandleCommit(sim::NodeId from,
                 simulation_.now() - timing_.dedup_check, simulation_.now(),
                 node_, tx->id.Prefix64(), 2);
       }
-      if (!from_gossip) entry.waiters.push_back(from);
+      if (!from_gossip) waiters_[tx->id].push_back(from);
       return;
     }
     entry.in_flight = true;
@@ -721,7 +724,7 @@ void Organization::FinishCommit(sim::NodeId from,
                                 std::shared_ptr<const Transaction> tx,
                                 bool from_gossip, TxVerdict verdict,
                                 sim::SimTime arrival) {
-  TxEntry& entry = txs_[tx->id];
+  TxEntry& entry = txs_.FindOrInsert(tx->id).first;
   entry.admitted = false;
   entry.in_flight = false;
   // A checkpoint install can cover a transaction while it is in the
@@ -753,14 +756,15 @@ void Organization::FinishCommit(sim::NodeId from,
   }
 
   if (!from_gossip) SendReceipt(from, tx->id, entry);
-  for (sim::NodeId waiter : std::exchange(entry.waiters, {})) {
-    SendReceipt(waiter, tx->id, entry);
+  if (const auto it = waiters_.find(tx->id); it != waiters_.end()) {
+    for (sim::NodeId waiter : it->second) SendReceipt(waiter, tx->id, entry);
+    waiters_.erase(it);
   }
   if (!fresh) return;
 
   if (entry.valid) {
-    gossip_fifo_.emplace_back(gossip_tick_, tx->id);
-    entry.body = tx;
+    entry.fifo_position = gossip_popped_ + gossip_fifo_.size();
+    gossip_fifo_.emplace_back(gossip_tick_, tx);
     if (timing_.antientropy_interval > 0) {
       committed_txs_.push_back(tx);
       ++committed_count_;
@@ -794,7 +798,7 @@ void Organization::GossipTick() {
     auto msg = std::make_shared<GossipAdvertMsg>();
     msg->ids.reserve(gossip_fifo_.end() - advertised);
     for (auto it = advertised; it != gossip_fifo_.end(); ++it) {
-      msg->ids.push_back(it->second);
+      msg->ids.push_back(it->second->id);
     }
     const std::uint32_t fanout = std::min<std::uint32_t>(
         timing_.gossip_fanout, static_cast<std::uint32_t>(peers_.size()));
@@ -806,8 +810,8 @@ void Organization::GossipTick() {
   ++gossip_tick_;
   while (!gossip_fifo_.empty() &&
          gossip_fifo_.front().first + rounds + 4 <= gossip_tick_) {
-    txs_[gossip_fifo_.front().second].body = nullptr;
     gossip_fifo_.pop_front();
+    ++gossip_popped_;
   }
   // Pending-pull repair: a pull (or its reply) that got dropped leaves the
   // id waiting here; after `pull_retry_ticks` quiet ticks re-ask the
@@ -894,12 +898,13 @@ void Organization::SealCheckpoint() {
   ckpt->valid_count = committed_count_;
   ckpt->valid_xor = committed_xor_;
   ckpt->covered.reserve(committed_ids_);
-  for (const auto& [id, entry] : txs_) {
-    if (entry.committed) {
-      ckpt->covered.push_back(Checkpoint::CoveredTx{id, entry.valid});
+  txs_.ForEach([&ckpt](const auto& entry) {
+    if (entry.value.committed) {
+      ckpt->covered.push_back(
+          Checkpoint::CoveredTx{entry.key, entry.value.valid});
     }
-  }
-  // The table is an unordered map: sort so the digest is canonical.
+  });
+  // The table is in arrival order: sort so the digest is canonical.
   std::sort(ckpt->covered.begin(), ckpt->covered.end(),
             [](const Checkpoint::CoveredTx& a, const Checkpoint::CoveredTx& b) {
               return a.id.bytes < b.id.bytes;
@@ -968,7 +973,7 @@ void Organization::DropCoveredBodies(const Checkpoint& ckpt) {
 std::size_t Organization::AdoptCheckpointCoverage(const Checkpoint& ckpt) {
   std::size_t adopted_valid = 0;
   for (const Checkpoint::CoveredTx& covered : ckpt.covered) {
-    TxEntry& entry = txs_[covered.id];
+    TxEntry& entry = txs_.FindOrInsert(covered.id).first;
     if (entry.committed) continue;
     entry.committed = true;
     entry.valid = covered.valid;
@@ -1129,9 +1134,8 @@ bool Organization::CanAttest(const Checkpoint& ckpt) const {
   // is something we cannot vouch for, so we refuse rather than endorse an
   // unverifiable claim.
   for (const Checkpoint::CoveredTx& tx : ckpt.covered) {
-    const auto it = txs_.find(tx.id);
-    if (it == txs_.end() || !it->second.committed ||
-        it->second.valid != tx.valid) {
+    const TxEntry* entry = txs_.Find(tx.id);
+    if (entry == nullptr || !entry->committed || entry->valid != tx.valid) {
       return false;
     }
   }

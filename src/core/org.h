@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "core/contract.h"
 #include "core/messages.h"
@@ -385,24 +386,33 @@ class Organization {
   // Everything this organization knows about one transaction id (paper §4:
   // validate it once, answer duplicates with the receipt, gossip what was
   // committed). Committed entries live for the whole run.
+  static constexpr std::uint64_t kNotQueued = ~std::uint64_t{0};
   struct TxEntry {
+    crypto::Digest block_hash;  // zero for ids adopted from a checkpoint
+    // Position in the stream of gossip_fifo_ pushes (see gossip_popped_);
+    // kNotQueued unless this org committed the id as valid.
+    std::uint64_t fifo_position = kNotQueued;
     bool committed = false;  // `valid` and `block_hash` are final
     bool valid = false;
     bool in_flight = false;  // in the validate/commit pipeline
     // Traced runs only: kPipeAdmit was emitted and the commit has not
     // finished. Untraced runs create no entry before the dedup stage.
     bool admitted = false;
-    crypto::Digest block_hash;  // zero for ids adopted from a checkpoint
-    std::vector<sim::NodeId> waiters;  // client senders seen while in flight
-    std::shared_ptr<const Transaction> body;  // kept while peers may pull it
   };
-  std::unordered_map<crypto::Digest, TxEntry, crypto::DigestHash> txs_;
+  FlatTable<crypto::Digest, TxEntry, crypto::DigestHash> txs_;
   std::uint64_t committed_ids_ = 0;  // entries with `committed` set
-  // (gossip tick at commit, id) per valid commit, in commit order. An id
+  // Client senders that sent an id again while it was in flight; they get
+  // the receipt when the commit finishes. Almost always empty.
+  std::unordered_map<crypto::Digest, std::vector<sim::NodeId>,
+                     crypto::DigestHash>
+      waiters_;
+  // (gossip tick at commit, body) per valid commit, in commit order. An id
   // committed while the tick read k is advertised while the tick reads t
-  // with k + R > t (R = gossip_rounds); once the tick reaches k + R + 4 its
-  // body is dropped and the pair popped.
-  std::deque<std::pair<std::uint64_t, crypto::Digest>> gossip_fifo_;
+  // with k + R > t (R = gossip_rounds); pulls for it are served from here
+  // until the tick reaches k + R + 4 and the pair is popped.
+  std::deque<std::pair<std::uint64_t, std::shared_ptr<const Transaction>>>
+      gossip_fifo_;
+  std::uint64_t gossip_popped_ = 0;  // pairs popped so far
   std::uint64_t gossip_tick_ = 0;
   // Pulls awaiting their GossipMsg, keyed by tx id. Suppresses duplicate
   // pulls while outstanding, and — because a dropped PullRequest/PullReply

@@ -13,14 +13,16 @@ bool AtLeaf(const Operation& op, std::size_t depth) {
   return depth == op.path.size();
 }
 
-// Contributions live in a hash set for O(1) dedup on the apply path; the
-// canonical encoding sorts a copy so the bytes match the ordered layout the
-// format has always used.
-template <typename Contributions>
+// Contributions sit in arrival order behind a hash index for O(1) dedup on
+// the apply path; the canonical encoding sorts a copy so the bytes match the
+// ordered layout the format has always used.
 void EncodeContributions(const Contributions& contributions,
                          codec::Writer& w) {
-  std::vector<std::pair<OpId, std::int64_t>> sorted(contributions.begin(),
-                                                    contributions.end());
+  std::vector<std::pair<OpId, std::int64_t>> sorted;
+  sorted.reserve(contributions.size());
+  contributions.ForEach([&sorted](const auto& contribution) {
+    sorted.push_back(contribution.key);
+  });
   std::sort(sorted.begin(), sorted.end());
   w.PutVarint(sorted.size());
   for (const auto& [id, amount] : sorted) {
@@ -36,7 +38,6 @@ void EncodeContributions(const Contributions& contributions,
 // Rejects what Apply could never have absorbed (a grow-only amount <= 0).
 // Any total is accepted: honest applies can sum past int64_t, and a
 // checkpoint of that state must install.
-template <typename Contributions>
 bool DecodeContributions(codec::Reader& r, bool grow_only,
                          Contributions& contributions, __int128& total) {
   const auto n = r.GetVarint();
@@ -48,7 +49,7 @@ bool DecodeContributions(codec::Reader& r, bool grow_only,
     const auto amount = r.GetI64();
     if (!client || !counter || !seq || !amount) return false;
     if (grow_only && *amount <= 0) return false;
-    if (contributions.emplace(OpId{*client, *counter, *seq}, *amount)
+    if (contributions.FindOrInsert({OpId{*client, *counter, *seq}, *amount})
             .second) {
       total += *amount;
     }
@@ -71,9 +72,9 @@ std::int64_t Saturate(__int128 total) {
 bool GCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt() || op.value.AsInt() <= 0) return false;  // grow-only
-  const auto [it, inserted] =
-      contributions_.emplace(op.id(), op.value.AsInt());
-  if (inserted) total_ += op.value.AsInt();
+  if (contributions_.FindOrInsert({op.id(), op.value.AsInt()}).second) {
+    total_ += op.value.AsInt();
+  }
   return true;
 }
 
@@ -110,11 +111,11 @@ std::unique_ptr<CrdtNode> GCounterNode::Clone() const {
 void GCounterNode::MergeFrom(const CrdtNode& other) {
   const auto* o = dynamic_cast<const GCounterNode*>(&other);
   if (o == nullptr) return;
-  for (const auto& contribution : o->contributions_) {
-    if (contributions_.insert(contribution).second) {
-      total_ += contribution.second;
+  o->contributions_.ForEach([this](const auto& contribution) {
+    if (contributions_.FindOrInsert(contribution.key).second) {
+      total_ += contribution.key.second;
     }
-  }
+  });
 }
 
 // --------------------------------------------------------------- PN-Counter
@@ -122,9 +123,9 @@ void GCounterNode::MergeFrom(const CrdtNode& other) {
 bool PNCounterNode::Apply(const Operation& op, std::size_t depth) {
   if (!AtLeaf(op, depth) || op.kind != OpKind::kAddValue) return false;
   if (!op.value.IsInt()) return false;
-  const auto [it, inserted] =
-      contributions_.emplace(op.id(), op.value.AsInt());
-  if (inserted) total_ += op.value.AsInt();
+  if (contributions_.FindOrInsert({op.id(), op.value.AsInt()}).second) {
+    total_ += op.value.AsInt();
+  }
   return true;
 }
 
@@ -161,11 +162,11 @@ std::unique_ptr<CrdtNode> PNCounterNode::Clone() const {
 void PNCounterNode::MergeFrom(const CrdtNode& other) {
   const auto* o = dynamic_cast<const PNCounterNode*>(&other);
   if (o == nullptr) return;
-  for (const auto& contribution : o->contributions_) {
-    if (contributions_.insert(contribution).second) {
-      total_ += contribution.second;
+  o->contributions_.ForEach([this](const auto& contribution) {
+    if (contributions_.FindOrInsert(contribution.key).second) {
+      total_ += contribution.key.second;
     }
-  }
+  });
 }
 
 // -------------------------------------------------------------- MV-Register

@@ -4,17 +4,17 @@
 
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "clock/logical_clock.h"
+#include "common/flat_table.h"
 #include "crdt/node.h"
 
 namespace orderless::crdt {
 
-/// Hash for counter contributions. The containers using it are membership
-/// indices on the apply path; Encode() sorts a copy so the canonical state
-/// bytes never depend on hash layout.
+/// Hash for counter contributions. The contribution set is a membership
+/// index on the apply path; Encode() sorts a copy so the canonical state
+/// bytes never depend on arrival order.
 struct ContributionHash {
   std::size_t operator()(
       const std::pair<OpId, std::int64_t>& c) const noexcept {
@@ -27,6 +27,10 @@ struct ContributionHash {
     return static_cast<std::size_t>(h);
   }
 };
+
+/// A counter's CRDT state: the set of its (op id, amount) contributions.
+using Contributions =
+    FlatTable<std::pair<OpId, std::int64_t>, NoValue, ContributionHash>;
 
 /// Grow-only counter: value = sum of all (positive) AddValue contributions.
 /// Contributions are keyed by (op id, amount) so replays dedup and Byzantine
@@ -45,8 +49,7 @@ class GCounterNode final : public CrdtNode {
   static std::unique_ptr<GCounterNode> Decode(codec::Reader& r);
 
  private:
-  std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
-      contributions_;
+  Contributions contributions_;
   // Sum of contributions_. Honest adds can carry it past int64_t (two bids
   // of 2^62), so it is held wide and saturated on read: the value stays a
   // function of the contribution set, whatever the arrival order.
@@ -68,8 +71,7 @@ class PNCounterNode final : public CrdtNode {
   static std::unique_ptr<PNCounterNode> Decode(codec::Reader& r);
 
  private:
-  std::unordered_set<std::pair<OpId, std::int64_t>, ContributionHash>
-      contributions_;
+  Contributions contributions_;
   __int128 total_ = 0;  // held wide and saturated on read, as GCounterNode
 };
 

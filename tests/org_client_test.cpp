@@ -324,6 +324,83 @@ TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
   }
 }
 
+TEST(Organization, InFlightDuplicateCommitAnswersEverySender) {
+  // A second copy of an id that passes its dedup check while the first is
+  // still validating commits nothing; its sender waits and gets the same
+  // receipt as the first sender once the one block is appended.
+  auto config = SmallConfig();
+  config.net.jitter_stddev_ms = 0;
+  config.org_timing.gossip_interval = sim::Ms(100);
+  auto net = MakeNet(config);
+  sim::Simulation& sim = net->simulation();
+  core::Organization& target_org = net->org(3);
+  const sim::NodeId target = net->org_node(3);
+
+  // Org 0's commit hands the test a copy of T to send; org 3 is cut off
+  // until every gossip window for T has closed.
+  std::shared_ptr<const core::Transaction> tx;
+  net->org(0).SetCommitObserver([&tx](const core::Transaction& committed,
+                                      core::TxVerdict) {
+    codec::Writer w;
+    committed.Encode(w);
+    codec::Reader r{BytesView(w.data())};
+    auto copy = core::Transaction::Decode(r);
+    copy->Seal();
+    tx = std::move(copy);
+  });
+  net->network().SetPartition(target, 7);
+  bool committed = false;
+  net->client(0).SubmitModify("voting", "Vote", VoteArgs(1),
+                              [&committed](const TxOutcome& o) {
+                                committed = o.committed;
+                              });
+  sim.RunUntil(sim::Sec(3));
+  ASSERT_TRUE(committed);
+  ASSERT_NE(tx, nullptr);
+  ASSERT_EQ(target_org.ledger().log().total_appended(), 0u);
+  net->network().HealPartitions();
+
+  std::map<sim::NodeId, std::vector<core::Receipt>> receipts;
+  std::map<sim::NodeId, sim::SimTime> received_at;
+  for (const sim::NodeId probe : {kProbe, kSecondProbe}) {
+    net->network().Register(
+        probe, [&receipts, &received_at, &sim, probe](const sim::Delivery& d) {
+          if (const auto* reply =
+                  dynamic_cast<const core::CommitReplyMsg*>(d.message.get())) {
+            receipts[probe].push_back(reply->receipt);
+            received_at[probe] = sim.now();
+          }
+        });
+  }
+  auto commit = std::make_shared<core::CommitMsg>();
+  commit->tx = tx;
+  // The second copy's dedup check runs after the first copy's has marked
+  // the id in flight, and long before the first copy's validation ends.
+  const sim::SimTime start = sim.now();
+  net->network().Send(kProbe, target, commit);
+  sim.RunUntil(start + sim::Us(10));
+  net->network().Send(kSecondProbe, target, commit);
+  sim.RunUntil(start + sim::Sec(1));
+
+  EXPECT_EQ(target_org.ledger().log().total_appended(), 1u) << "one block";
+  EXPECT_EQ(target_org.ledger().committed_valid(), 1u);
+  const crypto::Digest block_hash = target_org.ledger().log().LastHash();
+  ASSERT_NE(block_hash, crypto::Digest{});
+  for (const sim::NodeId probe : {kProbe, kSecondProbe}) {
+    ASSERT_EQ(receipts[probe].size(), 1u) << "probe " << probe;
+    const core::Receipt& receipt = receipts[probe].front();
+    EXPECT_EQ(receipt.tx_id, tx->id);
+    EXPECT_TRUE(receipt.valid);
+    EXPECT_EQ(receipt.block_hash, block_hash) << "probe " << probe;
+    EXPECT_TRUE(receipt.Verify(net->pki()));
+  }
+  // The waiter is answered by the first copy's commit, one receipt's egress
+  // time after the sender; a second validate-and-apply pass would hold the
+  // cache lock at least cache_apply_base longer.
+  EXPECT_LT(received_at[kSecondProbe] - received_at[kProbe],
+            config.org_timing.cache_apply_base);
+}
+
 TEST(Organization, AntiEntropyRepairsMissedDelivery) {
   // Gossip is suppressed entirely (fanout floor) for the transaction's
   // initial push by partitioning; after healing, only anti-entropy can
