@@ -205,7 +205,7 @@ void InvariantChecker::CheckQuiescent(const std::vector<std::string>& objects) {
   // must also be dominated by the org's own converged state (merging it in
   // changes nothing): an installed forgery that somehow carried quorum
   // would surface here as a state delta.
-  if (scenario_.checkpoints && scenario_.attest) {
+  if (scenario_.checkpoints) {
     const std::uint32_t q = net_.config().policy.q;
     for (std::size_t i : honest) {
       if (!net_.OrgRunning(i)) continue;

@@ -261,9 +261,7 @@ ChaosRunResult RunScenario(const Scenario& scenario,
   config.org_timing.gossip_rounds = 4;
   config.org_timing.antientropy_interval = sim::Ms(500);
   if (scenario.checkpoints) {
-    config.org_timing.checkpoint.enabled = true;
     config.org_timing.checkpoint.interval = scenario.checkpoint_interval;
-    config.org_timing.checkpoint.attest = scenario.attest;
   }
   config.client_timing.max_attempts = 8;
   config.client_timing.endorse_timeout = sim::Ms(700);
@@ -435,7 +433,7 @@ ChaosRunResult RunScenario(const Scenario& scenario,
     w.PutU64(cu.sync_txs_received);
     w.PutU64(cu.pruned_records);
     w.PutU64(cu.recovered_records);
-    // Attestation activity, all-zero without attest (same rationale).
+    // Attestation activity, all-zero without checkpoints (same rationale).
     w.PutU64(cu.ckpt_announced);
     w.PutU64(cu.ckpt_attest_sent);
     w.PutU64(cu.ckpt_attest_received);

@@ -45,7 +45,8 @@ struct ChaosRunResult {
   std::uint64_t ckpt_rejected_total = 0;
   std::uint64_t sync_txs_received_total = 0;
   std::uint64_t pruned_records_total = 0;
-  // Attestation activity (all zero when the scenario runs without attest).
+  // Attestation activity (all zero when the scenario runs without
+  // checkpoints).
   std::uint64_t ckpt_attested_total = 0;
   std::uint64_t ckpt_refused_total = 0;
   std::vector<Violation> violations;

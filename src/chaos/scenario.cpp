@@ -100,8 +100,7 @@ std::string Scenario::Describe() const {
       << " f_budget=" << byzantine_budget << " txs=" << tx_count
       << " duration=" << sim::ToSec(duration) << "s"
       << " quiesce=" << sim::ToSec(quiesce) << "s"
-      << (checkpoints ? (attest ? " [checkpoints+attest]" : " [checkpoints]")
-                      : "")
+      << (checkpoints ? " [checkpoints+attest]" : "")
       << (liveness_checkable ? " [liveness-checked]" : "") << "\n";
   if (events.empty()) {
     out << "  (no fault events)\n";
@@ -366,7 +365,6 @@ Scenario GenerateScenario(std::uint64_t seed, const ScenarioLimits& limits) {
   // produced.
   if (scenario.byzantine_budget > 0) {
     scenario.checkpoints = true;
-    scenario.attest = true;
     for (FaultEvent& event : scenario.events) {
       if (event.kind != FaultKind::kOrgByzantineOn) continue;
       core::ByzantineOrgBehavior& b = event.org_behavior;
@@ -490,7 +488,6 @@ Scenario MakeByzantineCatchupScenario(std::uint64_t seed) {
   scenario.quiesce = sim::Sec(25);
   scenario.tx_count = 96;
   scenario.checkpoints = true;
-  scenario.attest = true;
   // The lagging org cannot endorse during the partition, so some proposals
   // legitimately exhaust their retries — liveness is not checkable here.
   scenario.liveness_checkable = false;

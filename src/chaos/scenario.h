@@ -90,14 +90,11 @@ struct Scenario {
   std::uint32_t tx_count = 48;
   /// Enable signed CRDT checkpoints + O(delta) catch-up on every org.
   /// Uniform per network: delta-only sync replies assume the requester can
-  /// verify and install the checkpoint.
+  /// verify and install the checkpoint. Install requires q-of-n signed
+  /// attestations from distinct organization keys, which keeps installs
+  /// safe with up to f = n-q Byzantine organizations — so the generator can
+  /// (and does) enable checkpoints in Byzantine-drawing scenarios.
   bool checkpoints = false;
-  /// Quorum attestation on top of checkpoints: install requires q-of-n
-  /// signed attestations from distinct organization keys, which keeps
-  /// installs safe with up to f = n-q Byzantine organizations — so the
-  /// generator can (and does) enable checkpoints in Byzantine-drawing
-  /// scenarios. Only meaningful when `checkpoints` is set.
-  bool attest = true;
   sim::SimTime checkpoint_interval = sim::Ms(1500);
   std::vector<FaultEvent> events;  // sorted by `at`
   /// Set when the script contains no disruption that can legitimately defeat

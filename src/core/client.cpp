@@ -179,11 +179,8 @@ std::vector<std::size_t> Client::PickOrgs(Pending& p) {
     }
   }
 
-  const std::size_t want = std::min<std::size_t>(n, policy_.q + timing_.hedge);
+  const std::size_t want = std::min<std::size_t>(n, policy_.q);
   std::vector<std::size_t> picked = sample(healthy, want);
-  if (picked.size() > policy_.q) {
-    retry_stats_.hedged_requests += picked.size() - policy_.q;
-  }
   for (const std::vector<std::size_t>* tier : {&half_open, &spent}) {
     if (picked.size() >= want) break;
     for (std::size_t idx : sample(*tier, want - picked.size())) {

@@ -43,9 +43,6 @@ struct ClientTimingConfig {
   /// doubling up to 8x).
   std::uint32_t breaker_threshold = 0;
   sim::SimTime breaker_cooldown = sim::Sec(10);
-  /// Hedged endorsement: contact q + hedge organizations in phase 1 and use
-  /// the first q matching write-sets (spare-capacity latency insurance).
-  std::uint32_t hedge = 0;
 };
 
 /// Per-organization circuit-breaker state (closed = healthy).
@@ -59,7 +56,6 @@ struct ClientRetryStats {
   std::uint64_t breaker_opens = 0;      // closed/half-open -> open
   std::uint64_t breaker_closes = 0;     // open/half-open -> closed
   std::uint64_t half_open_probes = 0;   // probe requests to half-open orgs
-  std::uint64_t hedged_requests = 0;    // extra endorsement fan-out sent
 };
 
 /// Byzantine client faults (paper §8, four types).

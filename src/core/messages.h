@@ -94,21 +94,18 @@ struct SyncRequestMsg final : sim::Message {
   std::size_t WireSize() const override { return 80; }
 };
 
-/// Snapshot transfer: the responder's latest sealed checkpoint. The receiver
-/// verifies digest + signature, CRDT-merges the object states, and adopts
-/// the covered-transaction index; the delta arrives as a normal GossipMsg.
-/// With attestation enabled the message also carries the q-of-n attestation
-/// set over the checkpoint digest, and installers reject any checkpoint
-/// whose set lacks a quorum of valid distinct organization signatures.
+/// Snapshot transfer: the responder's best quorum-attested checkpoint and
+/// the q-of-n attestation set over its digest. The receiver verifies digest
+/// + signature, rejects any checkpoint whose set lacks a quorum of valid
+/// distinct organization signatures, CRDT-merges the object states, and
+/// adopts the covered-transaction index; the delta arrives as a normal
+/// GossipMsg.
 struct CheckpointMsg final : sim::Message {
   std::shared_ptr<const Checkpoint> ckpt;
-  /// Empty when attestation is disabled (the pre-attestation wire shape).
   AttestationSet attestations;
   std::string_view TypeName() const override { return "Checkpoint"; }
   std::size_t WireSize() const override {
-    return 16 + ckpt->WireSizeBytes() +
-           (attestations.attestations.empty() ? 0
-                                              : attestations.WireSizeBytes());
+    return 16 + ckpt->WireSizeBytes() + attestations.WireSizeBytes();
   }
 };
 

@@ -1,6 +1,7 @@
 #include "core/org.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -17,6 +18,33 @@ namespace {
 bool Outranks(const Checkpoint& a, const Checkpoint* b) {
   return b == nullptr || a.valid_count > b->valid_count ||
          (a.valid_count == b->valid_count && a.digest.bytes > b->digest.bytes);
+}
+
+/// Persists `ckpt` in checkpoint slot `slot`, followed by the quorum
+/// evidence that admitted it when there is one: a single store record, so
+/// no crash can leave a checkpoint apart from its evidence.
+void PutCheckpoint(ledger::Ledger& ledger, std::string_view slot,
+                   const Checkpoint& ckpt, const AttestationSet* evidence) {
+  codec::Writer w;
+  ckpt.Encode(w);
+  if (evidence != nullptr) evidence->Encode(w);
+  ledger.PutCheckpointBlob(slot, BytesView(w.data()));
+}
+
+/// Reads back what PutCheckpoint wrote; null when the slot is empty or the
+/// record (with `evidence`, its attestation set too) does not decode.
+std::shared_ptr<const Checkpoint> GetCheckpoint(const ledger::Ledger& ledger,
+                                                std::string_view slot,
+                                                AttestationSet* evidence) {
+  const auto blob = ledger.GetCheckpointBlob(slot);
+  if (!blob) return nullptr;
+  codec::Reader r{BytesView(*blob)};
+  std::shared_ptr<const Checkpoint> ckpt = Checkpoint::Decode(r);
+  if (ckpt == nullptr ||
+      (evidence != nullptr && !AttestationSet::Decode(r, *evidence))) {
+    return nullptr;
+  }
+  return ckpt;
 }
 
 }  // namespace
@@ -77,9 +105,10 @@ void Organization::Start() {
             rng_.NextBelow(timing_.antientropy_interval),
         [this] { AntiEntropyTick(); });
   }
-  // Gated behind `enabled` so checkpoint-off runs draw exactly the same rng
-  // stream as before this subsystem existed (bit-identical replays).
-  if (timing_.checkpoint.enabled && timing_.checkpoint.interval > 0) {
+  // Only checkpointing orgs draw this offset, so checkpoint-off runs draw
+  // exactly the same rng stream as before this subsystem existed
+  // (bit-identical replays).
+  if (timing_.checkpoint.interval > 0) {
     simulation_.ScheduleFor(
         actor,
         timing_.checkpoint.interval +
@@ -96,55 +125,18 @@ void Organization::Stop() {
 bool Organization::RecoverFromLedger() {
   // Load the persisted checkpoints first: an own seal seeds the chain base
   // (the prefix behind it was pruned) and supplies the snapshot states the
-  // op replay builds on — O(delta) recovery instead of O(history).
+  // op replay builds on — O(delta) recovery instead of O(history). The
+  // promoted own seal and the installed checkpoint were each persisted with
+  // their quorum evidence only after a quorum check, so a decode suffices.
   std::shared_ptr<const Checkpoint> sealed;
-  std::shared_ptr<const Checkpoint> installed;
   std::shared_ptr<const Checkpoint> attested;
+  std::shared_ptr<const Checkpoint> installed;
   AttestationSet attested_set;
   AttestationSet installed_set;
-  if (timing_.checkpoint.enabled) {
-    if (const auto blob = ledger_.GetCheckpointBlob("sealed")) {
-      codec::Reader r{BytesView(*blob)};
-      sealed = Checkpoint::Decode(r);
-    }
-    if (const auto blob = ledger_.GetCheckpointBlob("installed")) {
-      codec::Reader r{BytesView(*blob)};
-      installed = Checkpoint::Decode(r);
-    }
-    // Quorum-attestation blobs: the promoted own seal, its attestation set,
-    // and the evidence that admitted the installed checkpoint. These were
-    // only ever persisted after a quorum check, so a decode suffices here —
-    // the digest cross-checks below guard against torn/mismatched slots.
-    if (timing_.checkpoint.attest) {
-      if (const auto blob = ledger_.GetCheckpointBlob("attested")) {
-        codec::Reader r{BytesView(*blob)};
-        attested = Checkpoint::Decode(r);
-      }
-      if (const auto blob = ledger_.GetCheckpointBlob("attested_attest")) {
-        codec::Reader r{BytesView(*blob)};
-        AttestationSet set;
-        if (AttestationSet::Decode(r, set) && attested != nullptr &&
-            set.ckpt_digest == attested->digest) {
-          attested_set = std::move(set);
-        } else {
-          attested = nullptr;  // evidence missing or torn: not promoted
-        }
-      } else {
-        attested = nullptr;
-      }
-      if (const auto blob = ledger_.GetCheckpointBlob("installed_attest")) {
-        codec::Reader r{BytesView(*blob)};
-        AttestationSet set;
-        if (AttestationSet::Decode(r, set) && installed != nullptr &&
-            set.ckpt_digest == installed->digest) {
-          installed_set = std::move(set);
-        } else {
-          installed = nullptr;
-        }
-      } else {
-        installed = nullptr;  // with attestation on, no evidence = no install
-      }
-    }
+  if (timing_.checkpoint.interval > 0) {
+    sealed = GetCheckpoint(ledger_, "sealed", nullptr);
+    attested = GetCheckpoint(ledger_, "attested", &attested_set);
+    installed = GetCheckpoint(ledger_, "installed", &installed_set);
   }
   ledger::Ledger::RecoveryBase base;
   if (sealed && sealed->origin == key_.id()) {
@@ -319,46 +311,42 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
   if (const auto* sync_req =
           dynamic_cast<const SyncRequestMsg*>(delivery.message.get())) {
     if (byzantine_.active && byzantine_.suppress_gossip) return;
-    // With a sealed checkpoint, the reply is snapshot + delta: the covered
-    // prefix travels as one verified state merge and only the transactions
-    // committed after the frontier go as full bodies (`committed_txs_` is
-    // cleared at each seal — or, with attestation, of the covered prefix at
-    // each promotion — so it *is* the delta). Without one, the legacy
-    // full-set push. Under attestation only *promoted* checkpoints ship:
-    // an unattested seal is 1-of-n trust the receiver would reject anyway.
+    // With a quorum-attested checkpoint, the reply is snapshot + delta: the
+    // covered prefix travels as one verified state merge and only the
+    // transactions committed after the frontier go as full bodies
+    // (`committed_txs_` loses the covered prefix at each promotion and each
+    // install, so it *is* the delta). Without one, the full-set push. An
+    // unpromoted seal never ships: it is 1-of-n trust every receiver
+    // refuses.
     std::shared_ptr<const Checkpoint> ship;
     AttestationSet ship_set;
-    if (timing_.checkpoint.enabled && !timing_.checkpoint.attest) {
-      ship = sealed_ckpt_;
-    } else if (timing_.checkpoint.enabled) {
-      if (byzantine_.active && byzantine_.forge_checkpoint &&
-          sealed_ckpt_ != nullptr) {
-        // The strongest forgery available: tampered content validly signed
-        // under its own key, padded with fabricated peer attestations. The
-        // quorum check at the installer must count exactly one valid vote.
-        ship = MakeForgedCheckpoint(
-            byzantine_.equivocate_checkpoint ? delivery.from : 0);
-        ship_set.ckpt_digest = ship->digest;
-        for (crypto::KeyId id : org_keys_) {
-          ship_set.attestations.push_back(CheckpointAttestation{
-              id, id == key_.id()
-                      ? key_.Sign(kCheckpointAttestContext, ship->digest)
-                      : crypto::Signature{}});
-        }
-      } else if (byzantine_.active && byzantine_.replay_stale_checkpoint &&
-                 stale_ckpt_ != nullptr) {
-        // Stale replay: a validly attested but outdated snapshot. Installs
-        // stay safe (CRDT merge is monotone) — the attack wastes bytes.
-        ship = stale_ckpt_;
-        ship_set = stale_set_;
-      } else {
-        ship = attested_ckpt_;
-        ship_set = attested_set_;
-        if (installed_ckpt_ != nullptr &&
-            Outranks(*installed_ckpt_, ship.get())) {
-          ship = installed_ckpt_;
-          ship_set = installed_set_;
-        }
+    if (byzantine_.active && byzantine_.forge_checkpoint &&
+        sealed_ckpt_ != nullptr) {
+      // The strongest forgery available: tampered content validly signed
+      // under its own key, padded with fabricated peer attestations. The
+      // quorum check at the installer must count exactly one valid vote.
+      ship = MakeForgedCheckpoint(
+          byzantine_.equivocate_checkpoint ? delivery.from : 0);
+      ship_set.ckpt_digest = ship->digest;
+      for (crypto::KeyId id : org_keys_) {
+        ship_set.attestations.push_back(CheckpointAttestation{
+            id, id == key_.id()
+                    ? key_.Sign(kCheckpointAttestContext, ship->digest)
+                    : crypto::Signature{}});
+      }
+    } else if (byzantine_.active && byzantine_.replay_stale_checkpoint &&
+               stale_ckpt_ != nullptr) {
+      // Stale replay: a validly attested but outdated snapshot. Installs
+      // stay safe (CRDT merge is monotone) — the attack wastes bytes.
+      ship = stale_ckpt_;
+      ship_set = stale_set_;
+    } else {
+      ship = attested_ckpt_;
+      ship_set = attested_set_;
+      if (installed_ckpt_ != nullptr &&
+          Outranks(*installed_ckpt_, ship.get())) {
+        ship = installed_ckpt_;
+        ship_set = installed_set_;
       }
     }
     if (ship != nullptr && ship->digest != sync_req->have_ckpt) {
@@ -392,7 +380,9 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
   }
   if (const auto* ckpt_msg =
           dynamic_cast<const CheckpointMsg*>(delivery.message.get())) {
-    if (!timing_.checkpoint.enabled || ckpt_msg->ckpt == nullptr) return;
+    if (timing_.checkpoint.interval == 0 || ckpt_msg->ckpt == nullptr) {
+      return;
+    }
     const auto ckpt = ckpt_msg->ckpt;
     // Already holding it (or our own seal): nothing to merge.
     if ((sealed_ckpt_ && sealed_ckpt_->digest == ckpt->digest) ||
@@ -404,22 +394,16 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
         timing_.checkpoint.install_base +
         timing_.checkpoint.install_per_object *
             static_cast<sim::SimTime>(ckpt->objects.size()) +
-        (timing_.checkpoint.attest
-             ? timing_.checkpoint.attest_accept *
-                   static_cast<sim::SimTime>(evidence->attestations.size())
-             : 0);
+        timing_.checkpoint.attest_accept *
+            static_cast<sim::SimTime>(evidence->attestations.size());
     cpu_.Submit(verify_service, [this, ckpt, evidence] {
       if (!running_) return;
-      // The install gate. With attestation on, a valid seal is not enough:
-      // the digest needs q valid attestations from distinct organization
-      // keys, so a forgery backed by at most f = n − q Byzantine votes can
-      // never get past here.
-      bool admissible = ckpt->Verify(pki_, org_keys_);
-      if (admissible && timing_.checkpoint.attest) {
-        admissible = evidence->ckpt_digest == ckpt->digest &&
-                     evidence->HasQuorum(pki_, org_keys_, policy_.q);
-      }
-      if (!admissible) {
+      // The install gate. A valid seal is not enough: the digest needs q
+      // valid attestations from distinct organization keys, so a forgery
+      // backed by at most f = n − q Byzantine votes can never get past here.
+      if (!ckpt->Verify(pki_, org_keys_) ||
+          evidence->ckpt_digest != ckpt->digest ||
+          !evidence->HasQuorum(pki_, org_keys_, policy_.q)) {
         ++catchup_stats_.ckpt_rejected;
         if (obs::Tracer* t = simulation_.tracer()) {
           t->Instant(obs::EventKind::kCkptReject, simulation_.now(), node_,
@@ -440,8 +424,7 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
   }
   if (const auto* announce =
           dynamic_cast<const CheckpointAnnounceMsg*>(delivery.message.get())) {
-    if (!timing_.checkpoint.enabled || !timing_.checkpoint.attest ||
-        announce->ckpt == nullptr) {
+    if (timing_.checkpoint.interval == 0 || announce->ckpt == nullptr) {
       return;
     }
     HandleCheckpointAnnounce(delivery.from, announce->ckpt);
@@ -449,7 +432,7 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
   }
   if (const auto* attest_msg =
           dynamic_cast<const CheckpointAttestMsg*>(delivery.message.get())) {
-    if (!timing_.checkpoint.enabled || !timing_.checkpoint.attest) return;
+    if (timing_.checkpoint.interval == 0) return;
     HandleCheckpointAttest(*attest_msg);
     return;
   }
@@ -460,8 +443,7 @@ void Organization::SendBusy(sim::NodeId to, const crypto::Digest& ref,
   auto busy = std::make_shared<BusyMsg>();
   busy->ref = ref;
   busy->endorse_phase = endorse_phase;
-  busy->retry_after =
-      std::min(cpu_.Backlog(), timing_.overload.max_retry_after);
+  busy->retry_after = std::min(cpu_.Backlog(), kMaxRetryAfter);
   ++phase_stats_.busy_sent;
   network_.Send(node_, to, busy);
 }
@@ -483,7 +465,7 @@ void Organization::HandleProposal(sim::NodeId from,
                 timing_.endorse_per_op * proposal.args.size() / 4;
 
   if (timing_.overload.enabled) {
-    if (timing_.overload.shed_past_deadline && deadline > 0 &&
+    if (deadline > 0 &&
         arrival + cpu_.NextStartDelay() + exec_service > deadline) {
       // By the time a core frees up and executes this, the client's
       // endorsement timer will have fired: shed instead of burning CPU on a
@@ -860,8 +842,7 @@ void Organization::CheckpointTick() {
   // Re-announce an unpromoted seal: announces or attestation replies lost
   // to the network (or a quorum unreachable across a partition) are retried
   // every tick until the quorum forms or a newer seal supersedes it.
-  if (timing_.checkpoint.attest && sealed_ckpt_ != nullptr &&
-      !seal_in_flight_ &&
+  if (sealed_ckpt_ != nullptr && !seal_in_flight_ &&
       (attested_ckpt_ == nullptr ||
        attested_ckpt_->digest != sealed_ckpt_->digest)) {
     AnnounceCheckpoint();
@@ -912,9 +893,7 @@ void Organization::SealCheckpoint() {
   ckpt->objects = ledger_.cache().SnapshotStates();
   ckpt->Seal(key_);
 
-  codec::Writer encoded;
-  ckpt->Encode(encoded);
-  ledger_.PutCheckpointBlob("sealed", BytesView(encoded.data()));
+  PutCheckpoint(ledger_, "sealed", *ckpt, nullptr);
   sealed_ckpt_ = ckpt;
   commits_at_last_seal_ = committed_count_;
   ++catchup_stats_.ckpt_sealed;
@@ -924,29 +903,20 @@ void Organization::SealCheckpoint() {
                ckpt->digest.Prefix64(), ckpt->covered.size());
   }
 
-  if (timing_.checkpoint.attest) {
-    // Delta trimming and pruning are deferred to the quorum (see
-    // PromoteAttestedCheckpoint): until then sync replies must keep the
-    // full history available, because peers reject unattested snapshots.
-    seal_attest_.clear();
-    seal_attest_.emplace(
-        key_.id(), key_.Sign(kCheckpointAttestContext, ckpt->digest));
-    if (seal_attest_.size() >= policy_.q) {
-      PromoteAttestedCheckpoint();  // degenerate q = 1: self-quorum
-    } else {
-      AnnounceCheckpoint();
-    }
-    return;
+  // Delta trimming and pruning wait for the quorum (see
+  // PromoteAttestedCheckpoint): until then sync replies must keep the full
+  // history available, because peers reject unattested snapshots.
+  seal_attest_.clear();
+  seal_attest_.emplace(key_.id(),
+                       key_.Sign(kCheckpointAttestContext, ckpt->digest));
+  if (seal_attest_.size() >= policy_.q) {
+    PromoteAttestedCheckpoint();  // degenerate q = 1: self-quorum
+  } else {
+    AnnounceCheckpoint();
   }
-
-  // From here on, `committed_txs_` accumulates the delta after this frontier
-  // (what a sync reply ships alongside the checkpoint).
-  committed_txs_.clear();
-  PruneBehind(*ckpt);
 }
 
 void Organization::PruneBehind(const Checkpoint& ckpt) {
-  if (!timing_.checkpoint.prune) return;
   std::vector<crypto::Digest> covered_ids;
   covered_ids.reserve(ckpt.covered.size());
   for (const auto& tx : ckpt.covered) covered_ids.push_back(tx.id);
@@ -1001,10 +971,10 @@ void Organization::InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
   // delta buffer so our sync replies stay O(delta). Without this, an org
   // whose own seals never reach quorum would keep serving the full history
   // as bodies — O(history) traffic the checkpoint exists to avoid.
-  if (timing_.checkpoint.attest) DropCoveredBodies(*ckpt);
+  DropCoveredBodies(*ckpt);
   // Pin the first quorum-backed checkpoint seen for the replay-stale
   // adversary (a Byzantine serving peer replays it forever).
-  if (timing_.checkpoint.attest && stale_ckpt_ == nullptr) {
+  if (stale_ckpt_ == nullptr) {
     stale_ckpt_ = ckpt;
     stale_set_ = attestations;
   }
@@ -1014,15 +984,7 @@ void Organization::InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
   if (Outranks(*ckpt, installed_ckpt_.get())) {
     installed_ckpt_ = ckpt;
     installed_set_ = std::move(attestations);
-    codec::Writer encoded;
-    ckpt->Encode(encoded);
-    ledger_.PutCheckpointBlob("installed", BytesView(encoded.data()));
-    if (timing_.checkpoint.attest) {
-      codec::Writer set_encoded;
-      installed_set_.Encode(set_encoded);
-      ledger_.PutCheckpointBlob("installed_attest",
-                                BytesView(set_encoded.data()));
-    }
+    PutCheckpoint(ledger_, "installed", *ckpt, &installed_set_);
   }
   if (obs::Tracer* t = simulation_.tracer()) {
     t->Instant(obs::EventKind::kCkptInstall, simulation_.now(), node_,
@@ -1168,16 +1130,10 @@ void Organization::PromoteAttestedCheckpoint() {
     stale_ckpt_ = attested_ckpt_;
     stale_set_ = attested_set_;
   }
-  codec::Writer ckpt_encoded;
-  attested_ckpt_->Encode(ckpt_encoded);
-  ledger_.PutCheckpointBlob("attested", BytesView(ckpt_encoded.data()));
-  codec::Writer set_encoded;
-  attested_set_.Encode(set_encoded);
-  ledger_.PutCheckpointBlob("attested_attest", BytesView(set_encoded.data()));
+  PutCheckpoint(ledger_, "attested", *attested_ckpt_, &attested_set_);
 
   // The covered prefix now has quorum-backed snapshot transport: drop it
-  // from the delta buffer and reclaim the storage behind the frontier (what
-  // the attestation-free path did at seal time).
+  // from the delta buffer and reclaim the storage behind the frontier.
   DropCoveredBodies(*attested_ckpt_);
   PruneBehind(*attested_ckpt_);
 }

@@ -34,6 +34,9 @@ class VerdictTable;
 /// gossip-driven work is shed first. Shed endorsements and client commits
 /// are answered with an explicit `BusyMsg` carrying a retry-after hint;
 /// gossip work is dropped silently (re-adverts and anti-entropy repair it).
+/// Proposals also carry the client's endorsement deadline: one that will
+/// have passed by the time a core frees up is dropped instead of burning
+/// CPU on a reply nobody is waiting for.
 struct OverloadConfig {
   bool enabled = false;  // off = the unbounded seed behaviour
   /// Admission ceilings: new work of a class is shed once the CPU backlog
@@ -41,42 +44,30 @@ struct OverloadConfig {
   sim::SimTime max_backlog_gossip = sim::Ms(250);
   sim::SimTime max_backlog_endorse = sim::Ms(600);
   sim::SimTime max_backlog_commit = sim::Sec(2);
-  /// Deadline-aware shedding: proposals carry the client's endorsement
-  /// deadline; work whose deadline already passed when a core frees up is
-  /// dropped instead of burning CPU on a reply nobody is waiting for.
-  bool shed_past_deadline = true;
-  /// Retry-after hints in Busy replies are the current backlog clamped here.
-  sim::SimTime max_retry_after = sim::Sec(2);
 };
 
 /// Periodic signed-checkpoint sealing + snapshot-transfer catch-up (see
-/// core/checkpoint.h and DESIGN.md §12). Requires anti-entropy: catch-up
-/// rides the Summary → SyncRequest exchange, which now answers with
-/// checkpoint + delta instead of the full committed set. Every organization
-/// in one network must agree on `enabled` (a delta-only sync reply assumes
-/// the requester can install the accompanying checkpoint).
+/// core/checkpoint.h and DESIGN.md §12–13). A seal `interval` above 0 turns
+/// it on. Requires anti-entropy: catch-up rides the Summary → SyncRequest
+/// exchange, which answers with checkpoint + delta instead of the full
+/// committed set. Every organization in one network must agree on the
+/// interval being set (a delta-only sync reply assumes the requester can
+/// install the accompanying checkpoint).
+///
+/// Install trust is q-of-n: a sealed checkpoint is broadcast to every peer;
+/// peers that can reproduce its claims against their own state return a
+/// signed attestation, and only a checkpoint carrying q valid attestations
+/// from distinct organization keys is ever shipped in sync replies or
+/// installed. Pruning waits for that quorum, so full-history sync stays
+/// available while a seal lacks it.
 struct CheckpointConfig {
-  bool enabled = false;
-  /// Quorum attestation (q-of-n install trust; see checkpoint.h and
-  /// DESIGN.md §13). When set, a sealed checkpoint is broadcast to every
-  /// peer; peers that can reproduce its claims against their own state
-  /// return a signed attestation, and only a checkpoint carrying q valid
-  /// attestations from distinct organization keys is ever shipped in sync
-  /// replies or installed. Pruning is deferred from seal to promotion so
-  /// full-history sync stays available while a seal lacks its quorum. Off =
-  /// the PR 6 single-signer behaviour, bit-identical to it.
-  bool attest = false;
-  /// Seal period. Like gossip, each organization ticks with a random phase
-  /// offset drawn at Start().
-  sim::SimTime interval = sim::Sec(2);
+  /// Seal period (0 = checkpoints off). Like gossip, each organization
+  /// ticks with a random phase offset drawn at Start().
+  sim::SimTime interval = 0;
   /// Skip the seal when fewer new commits accumulated since the last one
   /// (a checkpoint that moves the frontier by almost nothing isn't worth
   /// its snapshot bytes).
   std::uint64_t min_new_commits = 4;
-  /// Reclaim storage behind the sealed frontier: drop commit records, op
-  /// rows and covered bodies, prune the in-memory chain segment (the
-  /// boundary digest is retained), and compact the store.
-  bool prune = true;
   /// Service-time model for sealing (snapshot encode + sign) and installing
   /// (verify + merge), charged on the CPU / cache-lock queues.
   sim::SimTime seal_base = sim::Us(200);
@@ -85,7 +76,7 @@ struct CheckpointConfig {
   sim::SimTime install_per_object = sim::Us(25);
   /// Attestation service times: verifying an announced checkpoint against
   /// local state (seal check + per-object dominance merge) and checking one
-  /// incoming attestation signature on the sealer side.
+  /// incoming attestation signature (sealer and installer side).
   sim::SimTime attest_verify_base = sim::Us(150);
   sim::SimTime attest_verify_per_object = sim::Us(20);
   sim::SimTime attest_accept = sim::Us(20);
@@ -106,7 +97,7 @@ struct CatchupStats {
   std::uint64_t sync_txs_received = 0;// bodies received via gossip/sync
   std::uint64_t pruned_records = 0;   // store rows reclaimed behind frontiers
   std::uint64_t recovered_records = 0;// commit records replayed at restart
-  // ---- Quorum attestation (all zero when CheckpointConfig::attest off) ----
+  // ---- Quorum attestation ----
   std::uint64_t ckpt_announced = 0;       // announce broadcasts sent
   std::uint64_t ckpt_attest_sent = 0;     // attestations signed for peers
   std::uint64_t ckpt_attest_received = 0; // valid attestations accepted
@@ -149,8 +140,8 @@ struct OrgTimingConfig {
   /// Overload protection (bounded admission + priority shedding).
   OverloadConfig overload;
 
-  /// Signed checkpoints + O(delta) catch-up (off = the pre-checkpoint
-  /// behaviour, bit-identical to it).
+  /// Signed checkpoints + O(delta) catch-up (interval 0 = the
+  /// pre-checkpoint behaviour, bit-identical to it).
   CheckpointConfig checkpoint;
 
   /// Ledger retention knobs (benchmarks use lightweight settings).
@@ -167,9 +158,8 @@ struct ByzantineOrgBehavior {
   double ignore_commit_prob = 0.5;
   bool suppress_gossip = true;
 
-  // ---- Checkpoint-layer attacks (need CheckpointConfig::attest to matter;
-  // without attestation a forged seal is already caught by Verify, and with
-  // it a forgery can never gather q honest attestations) ----
+  // ---- Checkpoint-layer attacks (quorum attestation contains them: a
+  // forgery can never gather q honest attestations) ----
   /// Announce and ship a self-signed checkpoint with forged content
   /// (inflated counters, flipped verdicts, tampered object state) instead of
   /// the honestly sealed one, padded with fabricated peer attestations.
@@ -270,7 +260,7 @@ class Organization {
     return installed_ckpt_;
   }
   /// Latest own seal that gathered a q-of-n attestation quorum (null before
-  /// the first promotion; always null with attestation disabled).
+  /// the first promotion).
   const std::shared_ptr<const Checkpoint>& attested_checkpoint() const {
     return attested_ckpt_;
   }
@@ -305,7 +295,9 @@ class Organization {
                        sim::SimTime arrival);
   void HandleCommit(sim::NodeId from, std::shared_ptr<const Transaction> tx,
                     bool from_gossip);
-  /// Backpressure reply for work shed at admission.
+  /// Backpressure reply for work shed at admission. Its retry-after hint is
+  /// the current CPU backlog, capped here.
+  static constexpr sim::SimTime kMaxRetryAfter = sim::Sec(2);
   void SendBusy(sim::NodeId to, const crypto::Digest& ref, bool endorse_phase);
   void FinishCommit(sim::NodeId from, std::shared_ptr<const Transaction> tx,
                     bool from_gossip, TxVerdict verdict,
@@ -316,16 +308,15 @@ class Organization {
   void GossipTick();
   void AntiEntropyTick();
   void CheckpointTick();
-  /// Builds, signs, persists and (optionally) prunes behind a checkpoint of
-  /// the current committed state. Runs on the cache-lock queue. With
-  /// attestation enabled, pruning waits for the quorum (see
-  /// PromoteAttestedCheckpoint) and the seal is announced to every peer.
+  /// Builds, signs, persists and self-attests a checkpoint of the current
+  /// committed state, then announces it to every peer. Runs on the
+  /// cache-lock queue. Pruning waits for the quorum (see
+  /// PromoteAttestedCheckpoint).
   void SealCheckpoint();
   /// Verified-checkpoint install: CRDT-merge the object states and adopt the
   /// covered transactions as committed. Runs on the cache-lock queue.
-  /// `attestations` is the quorum evidence that admitted the checkpoint
-  /// (empty with attestation off); it is persisted alongside so a restart
-  /// can re-verify.
+  /// `attestations` is the quorum evidence that admitted the checkpoint; it
+  /// is persisted with it in one record.
   void InstallCheckpoint(std::shared_ptr<const Checkpoint> ckpt,
                          AttestationSet attestations);
   /// Broadcasts the current seal (or, for a forging adversary, per-peer
@@ -342,8 +333,8 @@ class Organization {
   /// first-hand is refused.
   bool CanAttest(const Checkpoint& ckpt) const;
   /// Runs when the current seal reaches q distinct valid attestations:
-  /// freezes the attestation set, persists both, drops the covered prefix
-  /// from the delta buffer and (optionally) prunes behind the frontier.
+  /// freezes the attestation set, persists both in one record, drops the
+  /// covered prefix from the delta buffer and prunes behind the frontier.
   void PromoteAttestedCheckpoint();
   /// The forgery a Byzantine organization announces/ships: content tampered
   /// from the honest seal (inflated counters, flipped verdict, corrupted
@@ -361,7 +352,7 @@ class Organization {
   crypto::Digest BestCheckpointDigest() const;
   /// Removes the bodies `ckpt` covers from `committed_txs_`.
   void DropCoveredBodies(const Checkpoint& ckpt);
-  /// Reclaims the store behind `ckpt`, an own seal, when pruning is on.
+  /// Reclaims the store behind `ckpt`, an own promoted seal.
   void PruneBehind(const Checkpoint& ckpt);
 
   sim::Simulation& simulation_;
@@ -436,23 +427,22 @@ class Organization {
   std::uint64_t committed_xor_ = 0;
 
   // Checkpoint state. `sealed_ckpt_` is this organization's own latest seal:
-  // the only checkpoint whose chain fields may seed the chain base, the only
-  // frontier pruning is allowed behind, and the one sync replies ship (its
-  // delta is exactly `committed_txs_`, cleared at each seal).
-  // `installed_ckpt_` is the best external checkpoint merged in — state and
-  // coverage only, never a chain base (its chain belongs to its origin).
+  // the only checkpoint whose chain fields may seed the chain base, and the
+  // one announced for attestation. `installed_ckpt_` is the best external
+  // checkpoint merged in — state and coverage only, never a chain base (its
+  // chain belongs to its origin).
   std::shared_ptr<const Checkpoint> sealed_ckpt_;
   std::shared_ptr<const Checkpoint> installed_ckpt_;
   std::uint64_t ckpt_seq_ = 0;
   std::uint64_t commits_at_last_seal_ = 0;
   bool seal_in_flight_ = false;
-  // Quorum-attestation state (meaningful only with checkpoint.attest).
   // `seal_attest_` collects signatures over the *current* seal's digest — a
   // std::map so promotion freezes them in deterministic (key id) order.
   // `attested_ckpt_` + `attested_set_` is the latest own seal that reached
-  // its quorum (what sync replies ship); `installed_set_` is the evidence
-  // that admitted `installed_ckpt_`. `stale_ckpt_` pins the *first* promoted
-  // checkpoint for the replay-stale adversary.
+  // its quorum (the frontier storage is pruned behind); it and the
+  // installed checkpoint with `installed_set_` are what sync replies ship.
+  // `stale_ckpt_` pins the *first* quorum-backed checkpoint for the
+  // replay-stale adversary.
   std::map<crypto::KeyId, crypto::Signature> seal_attest_;
   std::shared_ptr<const Checkpoint> attested_ckpt_;
   AttestationSet attested_set_;

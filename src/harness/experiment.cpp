@@ -162,14 +162,10 @@ class OrderlessDriver final : public Driver {
     net.org_timing.ledger_options.track_tx_keys = false;
     net.client_timing.avoid_byzantine = config.client_avoidance;
     net.client_timing.max_attempts = config.client_max_attempts;
+    net.org_timing.checkpoint.interval = config.checkpoint_interval;
+    // Checkpoints ride the anti-entropy summary/sync path.
     if (config.checkpoint_interval > 0) {
-      net.org_timing.checkpoint.enabled = true;
-      net.org_timing.checkpoint.interval = config.checkpoint_interval;
-      net.org_timing.checkpoint.attest = config.checkpoint_attest;
-      // Checkpoints ride the anti-entropy summary/sync path.
-      if (net.org_timing.antientropy_interval == 0) {
-        net.org_timing.antientropy_interval = sim::Ms(500);
-      }
+      net.org_timing.antientropy_interval = sim::Ms(500);
     }
     net.org_timing.overload = config.overload;
     if (config.org_endorse_base > 0) {
@@ -189,7 +185,6 @@ class OrderlessDriver final : public Driver {
     net.client_timing.org_retry_budget = config.client_org_retry_budget;
     net.client_timing.breaker_threshold = config.client_breaker_threshold;
     net.client_timing.breaker_cooldown = config.client_breaker_cooldown;
-    net.client_timing.hedge = config.client_hedge;
     net.tracer = config.tracer;
     net.profiler = config.profiler;
     net.threads = config.threads;
@@ -288,7 +283,6 @@ class OrderlessDriver final : public Driver {
       r.breaker_opens += s.breaker_opens;
       r.breaker_closes += s.breaker_closes;
       r.half_open_probes += s.half_open_probes;
-      r.hedged_requests += s.hedged_requests;
     }
     for (std::size_t i = 0; i < net.org_count(); ++i) {
       const auto& cu = net.org(i).catchup_stats();

@@ -67,14 +67,11 @@ struct ExperimentConfig {
   std::uint32_t gossip_fanout = 1;
   sim::SimTime gossip_interval = sim::Sec(1);
   bool normal_org_load = false;
-  /// Signed CRDT checkpoints + O(delta) catch-up (OrderlessChain only).
-  /// 0 = disabled (seed behaviour). Enabling also turns on anti-entropy
-  /// (checkpoints ride the summary/sync path) if the interval is unset.
+  /// Signed, quorum-attested CRDT checkpoints + O(delta) catch-up
+  /// (OrderlessChain only; DESIGN.md §12–13). 0 = disabled (seed
+  /// behaviour). Enabling also turns on anti-entropy every 500 ms
+  /// (checkpoints ride the summary/sync path).
   sim::SimTime checkpoint_interval = 0;
-  /// Quorum attestation on top of checkpoints: installs require q-of-n
-  /// signed attestations (see DESIGN.md §13). No effect while
-  /// checkpoint_interval is 0.
-  bool checkpoint_attest = false;
 
   // Byzantine configuration (control variables 10-12, Fig. 8).
   std::vector<ByzantinePhase> byzantine_phases;
@@ -99,7 +96,6 @@ struct ExperimentConfig {
   std::uint32_t client_org_retry_budget = 0;
   std::uint32_t client_breaker_threshold = 0;
   sim::SimTime client_breaker_cooldown = sim::Sec(10);
-  std::uint32_t client_hedge = 0;
 
   /// Optional observability hook (not owned; OrderlessChain only). Wired
   /// into the simulated network when set; null = tracing disabled.

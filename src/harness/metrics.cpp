@@ -105,7 +105,6 @@ void RobustnessStats::FillRegistry(obs::MetricsRegistry& registry) const {
       {"robustness.breaker_opens", breaker_opens},
       {"robustness.breaker_closes", breaker_closes},
       {"robustness.half_open_probes", half_open_probes},
-      {"robustness.hedged_requests", hedged_requests},
       {"catchup.ckpt_sealed", ckpt_sealed},
       {"catchup.ckpt_installed", ckpt_installed},
       {"catchup.ckpt_txs_covered", ckpt_txs_covered},

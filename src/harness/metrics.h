@@ -76,7 +76,6 @@ struct RobustnessStats {
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_closes = 0;
   std::uint64_t half_open_probes = 0;
-  std::uint64_t hedged_requests = 0;
   // Checkpoint / catch-up activity aggregated across organizations (all
   // zero while checkpointing is disabled).
   std::uint64_t ckpt_sealed = 0;
@@ -85,7 +84,7 @@ struct RobustnessStats {
   std::uint64_t sync_txs_sent = 0;
   std::uint64_t sync_txs_received = 0;
   std::uint64_t pruned_records = 0;
-  // Quorum-attestation activity (all zero while attestation is disabled).
+  // Quorum-attestation activity (all zero while checkpointing is disabled).
   std::uint64_t ckpt_announced = 0;
   std::uint64_t ckpt_attest_sent = 0;
   std::uint64_t ckpt_attest_received = 0;

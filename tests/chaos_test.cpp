@@ -186,7 +186,6 @@ TEST(ChaosByzantine, GeneratedByzantineScenariosEnableAttestedCheckpoints) {
     if (scenario.byzantine_budget == 0) continue;
     ++byzantine_seen;
     EXPECT_TRUE(scenario.checkpoints) << scenario.Describe();
-    EXPECT_TRUE(scenario.attest) << scenario.Describe();
     EXPECT_LE(scenario.byzantine_budget,
               scenario.num_orgs - scenario.policy.q)
         << "budget exceeds attestation-liveness bound f <= n - q\n"
@@ -241,7 +240,6 @@ TEST(ChaosByzantine, ByzantineCatchupPresetMinimizerHandlesCheckpointAttacks) {
   ckpt_attack.org_behavior.forge_checkpoint = true;
   scenario.events.push_back(ckpt_attack);
   scenario.checkpoints = true;
-  scenario.attest = true;
 
   const auto min = MinimizeScenario(scenario);
   EXPECT_TRUE(min.reproduced);

@@ -558,7 +558,6 @@ harness::OrderlessNetConfig CheckpointNetConfig() {
   config.org_timing.gossip_fanout = 3;
   config.org_timing.gossip_rounds = 4;
   config.org_timing.antientropy_interval = sim::Ms(500);
-  config.org_timing.checkpoint.enabled = true;
   config.org_timing.checkpoint.interval = sim::Ms(800);
   config.client_timing.max_attempts = 4;
   config.client_timing.endorse_timeout = sim::Ms(700);

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
 
 #include "contracts/filestore.h"
 #include "contracts/voting.h"
@@ -250,7 +252,6 @@ TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
   // Checkpoints need anti-entropy enabled; this period never elapses here,
   // so the lagging org can only learn of T from the probes.
   config.org_timing.antientropy_interval = sim::Sec(1000);
-  config.org_timing.checkpoint.enabled = true;
   config.org_timing.checkpoint.interval = sim::Ms(500);
   config.org_timing.checkpoint.min_new_commits = 1;
   auto net = MakeNet(config);
@@ -279,7 +280,7 @@ TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
   sim.RunUntil(sim::Sec(3));
   ASSERT_TRUE(committed);
   ASSERT_NE(tx, nullptr);
-  const auto ckpt = sealer.sealed_checkpoint();
+  const auto ckpt = sealer.attested_checkpoint();
   ASSERT_NE(ckpt, nullptr);
   ASSERT_EQ(ckpt->covered.size(), 1u);
   ASSERT_EQ(ckpt->covered.front().id, tx->id);
@@ -299,6 +300,7 @@ TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
   commit->tx = tx;
   auto checkpoint = std::make_shared<core::CheckpointMsg>();
   checkpoint->ckpt = ckpt;
+  checkpoint->attestations = sealer.attested_set();
   // The second copy lands after the first passed its dedup check; the
   // checkpoint's verify and merge finish inside the first copy's validate
   // slice.
@@ -322,6 +324,102 @@ TEST(Organization, CheckpointCoveringAnInFlightIdAnswersEverySender) {
     EXPECT_EQ(receipt.block_hash, crypto::Digest{}) << "probe " << probe;
     EXPECT_TRUE(receipt.Verify(net->pki()));
   }
+}
+
+TEST(Organization, CheckpointInstallNeedsQuorumEvidence) {
+  // A checkpoint installs only with q valid attestations: the sealer's own
+  // signature alone (1 < q) is refused and changes nothing. With the quorum
+  // set it installs, and a restart reads the checkpoint and its evidence
+  // back together.
+  auto config = SmallConfig();
+  config.net.jitter_stddev_ms = 0;
+  config.org_timing.gossip_interval = sim::Ms(100);
+  // Checkpoints need anti-entropy enabled; this period never elapses here,
+  // so the lagging org can only learn of T from the probe.
+  config.org_timing.antientropy_interval = sim::Sec(1000);
+  config.org_timing.checkpoint.interval = sim::Ms(500);
+  config.org_timing.checkpoint.min_new_commits = 1;
+  auto net = MakeNet(config);
+  sim::Simulation& sim = net->simulation();
+  const core::Organization& sealer = net->org(0);
+  const sim::NodeId target = net->org_node(3);
+
+  net->network().SetPartition(target, 7);
+  bool committed = false;
+  net->client(0).SubmitModify("voting", "Vote", VoteArgs(1),
+                              [&committed](const TxOutcome& o) {
+                                committed = o.committed;
+                              });
+  sim.RunUntil(sim::Sec(3));
+  ASSERT_TRUE(committed);
+  const auto ckpt = sealer.attested_checkpoint();
+  ASSERT_NE(ckpt, nullptr);
+  ASSERT_EQ(ckpt->covered.size(), 1u);
+  const core::AttestationSet quorum = sealer.attested_set();
+  ASSERT_EQ(quorum.ckpt_digest, ckpt->digest);
+  net->network().HealPartitions();
+  net->network().Register(kProbe, [](const sim::Delivery&) {});
+
+  const std::string object = contracts::VotingContract::PartyObject("e", 1);
+  const Bytes state_before =
+      net->org(3).ledger().cache().EncodeObjectState(object);
+  const Bytes sealer_state = sealer.ledger().cache().EncodeObjectState(object);
+  ASSERT_NE(state_before, sealer_state);
+
+  // Only the sealer vouches for the checkpoint: refused.
+  auto solo = std::make_shared<core::CheckpointMsg>();
+  solo->ckpt = ckpt;
+  solo->attestations.ckpt_digest = ckpt->digest;
+  for (const core::CheckpointAttestation& a : quorum.attestations) {
+    if (a.attester == sealer.key()) {
+      solo->attestations.attestations.push_back(a);
+    }
+  }
+  ASSERT_EQ(solo->attestations.attestations.size(), 1u);
+  net->network().Send(kProbe, target, solo);
+  sim.RunUntil(sim.now() + sim::Sec(1));
+  {
+    const core::Organization& lagger = net->org(3);
+    EXPECT_EQ(lagger.catchup_stats().ckpt_rejected, 1u);
+    EXPECT_EQ(lagger.catchup_stats().ckpt_installed, 0u);
+    EXPECT_EQ(lagger.catchup_stats().ckpt_txs_covered, 0u);
+    EXPECT_EQ(lagger.installed_checkpoint(), nullptr);
+    EXPECT_EQ(lagger.effective_committed_valid(), 0u);
+    EXPECT_EQ(lagger.ledger().cache().EncodeObjectState(object), state_before);
+  }
+
+  // The quorum set admits it.
+  auto attested = std::make_shared<core::CheckpointMsg>();
+  attested->ckpt = ckpt;
+  attested->attestations = quorum;
+  net->network().Send(kProbe, target, attested);
+  sim.RunUntil(sim.now() + sim::Sec(1));
+  {
+    const core::Organization& lagger = net->org(3);
+    EXPECT_EQ(lagger.catchup_stats().ckpt_rejected, 1u);
+    EXPECT_EQ(lagger.catchup_stats().ckpt_installed, 1u);
+    ASSERT_NE(lagger.installed_checkpoint(), nullptr);
+    EXPECT_EQ(lagger.installed_checkpoint()->digest, ckpt->digest);
+    EXPECT_EQ(lagger.effective_committed_valid(), 1u);
+    EXPECT_EQ(lagger.ledger().cache().EncodeObjectState(object), sealer_state);
+  }
+
+  // The installed checkpoint and its evidence survive a restart together.
+  net->CrashOrg(3);
+  ASSERT_TRUE(net->RestartOrg(3));
+  const core::Organization& restarted = net->org(3);
+  ASSERT_NE(restarted.installed_checkpoint(), nullptr);
+  EXPECT_EQ(restarted.installed_checkpoint()->digest, ckpt->digest);
+  EXPECT_EQ(restarted.installed_set(), quorum);
+  std::set<crypto::KeyId> org_keys;
+  for (std::size_t i = 0; i < net->org_count(); ++i) {
+    org_keys.insert(net->org(i).key());
+  }
+  EXPECT_TRUE(restarted.installed_set().HasQuorum(net->pki(), org_keys,
+                                                  config.policy.q));
+  EXPECT_EQ(restarted.effective_committed_valid(), 1u);
+  EXPECT_EQ(restarted.ledger().cache().EncodeObjectState(object),
+            sealer_state);
 }
 
 TEST(Organization, InFlightDuplicateCommitAnswersEverySender) {

@@ -7,8 +7,13 @@
 //                  [--crdt g-counter] [--byz-orgs 3] [--avoidance]
 //                  [--trace out.trace.json] [--trace-jsonl out.jsonl]
 //                  [--trace-filter kinds] [--metrics-json out.json]
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <map>
 #include <string>
 
 #include "harness/experiment.h"
@@ -28,14 +33,15 @@ void Usage() {
       "  --system  orderless|fabric|fabriccrdt|bidl|synchotstuff\n"
       "  --app     synthetic|voting|auction\n"
       "  --orgs N  --q N  --rate TPS  --seconds S  --clients N  --seed N\n"
+      "                       (orgs and clients at least 1, q in 1..orgs)\n"
       "  --modify-fraction F   (default 0.5)\n"
       "  --objs N --ops N --crdt TYPE   (synthetic app parameters)\n"
       "  --byz-orgs N   --byz-clients F   --avoidance\n"
       "  --gossip-fanout N\n"
       "  --checkpoint-interval-ms N   signed CRDT checkpoints + O(delta)\n"
-      "                       catch-up every N ms (orderless only; 0 = off)\n"
-      "  --checkpoint-attest  require q-of-n attestations before a\n"
-      "                       checkpoint installs (orderless only)\n"
+      "                       catch-up every N ms; a checkpoint installs\n"
+      "                       only with q-of-n attestations (orderless\n"
+      "                       only; 0 = off)\n"
       "  --threads N          simulation worker threads (orderless only;\n"
       "                       results are bit-identical at any N)\n"
       "  --prof               host-side engine profile (lane utilization,\n"
@@ -66,95 +72,141 @@ bool ParseApp(const std::string& s, harness::AppKind& out) {
   return true;
 }
 
+/// A decimal integer that fills all of `s` and fits `T`; no sign.
+template <typename T>
+bool ParseUint(const char* s, T& out) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (*end != '\0' || errno != 0 ||
+      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
+/// A finite, non-negative number that fills all of `s`.
+bool ParseReal(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0) return false;
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   harness::ExperimentConfig config;
   config.num_orgs = 16;
-  config.policy = core::EndorsementPolicy{4, 16};
   config.workload.num_clients = 1000;
   std::uint32_t q = 4;
   std::string trace_path, trace_jsonl_path, trace_filter, metrics_path;
   bool profiling = false;
 
+  // Options that take one value; each setter reports whether it parsed.
+  using Setter = std::function<bool(const char*)>;
+  auto text = [](std::string& out) -> Setter {
+    return [&out](const char* v) {
+      out = v;
+      return true;
+    };
+  };
+  auto count = [](auto& out) -> Setter {
+    return [&out](const char* v) { return ParseUint(v, out); };
+  };
+  auto real = [](double& out) -> Setter {
+    return [&out](const char* v) { return ParseReal(v, out); };
+  };
+  const std::map<std::string, Setter> value_options = {
+      {"--system",
+       [&](const char* v) { return ParseSystem(v, config.system); }},
+      {"--app", [&](const char* v) { return ParseApp(v, config.app); }},
+      {"--orgs", count(config.num_orgs)},
+      {"--q", count(q)},
+      {"--rate", real(config.workload.arrival_tps)},
+      {"--seconds",
+       [&](const char* v) {
+         std::uint32_t seconds = 0;
+         if (!ParseUint(v, seconds)) return false;
+         config.workload.duration = sim::Sec(seconds);
+         return true;
+       }},
+      {"--clients", count(config.workload.num_clients)},
+      {"--seed", count(config.seed)},
+      {"--modify-fraction", real(config.workload.modify_fraction)},
+      {"--objs", count(config.workload.obj_count)},
+      {"--ops", count(config.workload.ops_per_obj)},
+      {"--crdt", text(config.workload.crdt_type)},
+      {"--byz-orgs",
+       [&](const char* v) {
+         std::uint32_t byz_orgs = 0;
+         if (!ParseUint(v, byz_orgs)) return false;
+         config.byzantine_phases = {{0, byz_orgs}};
+         config.byzantine_org_behavior.ignore_proposal_prob = 0.5;
+         config.byzantine_org_behavior.wrong_endorse_prob = 0.5;
+         return true;
+       }},
+      {"--byz-clients",
+       [&](const char* v) {
+         if (!ParseReal(v, config.byzantine_client_fraction)) return false;
+         config.byzantine_client_behavior.active = true;
+         config.byzantine_client_behavior.tamper_writeset = true;
+         return true;
+       }},
+      {"--gossip-fanout", count(config.gossip_fanout)},
+      {"--checkpoint-interval-ms",
+       [&](const char* v) {
+         std::uint32_t checkpoint_ms = 0;
+         if (!ParseUint(v, checkpoint_ms)) return false;
+         config.checkpoint_interval = sim::Ms(checkpoint_ms);
+         return true;
+       }},
+      {"--threads", count(config.threads)},
+      {"--trace", text(trace_path)},
+      {"--trace-jsonl", text(trace_jsonl_path)},
+      {"--trace-filter", text(trace_filter)},
+      {"--metrics-json", text(metrics_path)},
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
-    } else if (arg == "--system") {
-      const char* v = next();
-      if (v == nullptr || !ParseSystem(v, config.system)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--app") {
-      const char* v = next();
-      if (v == nullptr || !ParseApp(v, config.app)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--orgs") {
-      config.num_orgs = static_cast<std::uint32_t>(std::atoi(next()));
-    } else if (arg == "--q") {
-      q = static_cast<std::uint32_t>(std::atoi(next()));
-    } else if (arg == "--rate") {
-      config.workload.arrival_tps = std::atof(next());
-    } else if (arg == "--seconds") {
-      config.workload.duration = sim::Sec(
-          static_cast<std::uint64_t>(std::atoi(next())));
-    } else if (arg == "--clients") {
-      config.workload.num_clients =
-          static_cast<std::uint32_t>(std::atoi(next()));
-    } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--modify-fraction") {
-      config.workload.modify_fraction = std::atof(next());
-    } else if (arg == "--objs") {
-      config.workload.obj_count = std::atoll(next());
-    } else if (arg == "--ops") {
-      config.workload.ops_per_obj = std::atoll(next());
-    } else if (arg == "--crdt") {
-      config.workload.crdt_type = next();
-    } else if (arg == "--byz-orgs") {
-      config.byzantine_phases = {
-          {0, static_cast<std::uint32_t>(std::atoi(next()))}};
-      config.byzantine_org_behavior.ignore_proposal_prob = 0.5;
-      config.byzantine_org_behavior.wrong_endorse_prob = 0.5;
-    } else if (arg == "--byz-clients") {
-      config.byzantine_client_fraction = std::atof(next());
-      config.byzantine_client_behavior.active = true;
-      config.byzantine_client_behavior.tamper_writeset = true;
     } else if (arg == "--avoidance") {
       config.client_avoidance = true;
       config.client_max_attempts = 3;
-    } else if (arg == "--gossip-fanout") {
-      config.gossip_fanout = static_cast<std::uint32_t>(std::atoi(next()));
-    } else if (arg == "--checkpoint-interval-ms") {
-      config.checkpoint_interval =
-          sim::Ms(static_cast<std::uint64_t>(std::atoi(next())));
-    } else if (arg == "--checkpoint-attest") {
-      config.checkpoint_attest = true;
-    } else if (arg == "--threads") {
-      config.threads = static_cast<unsigned>(std::atoi(next()));
     } else if (arg == "--prof") {
       profiling = true;
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--trace-jsonl") {
-      trace_jsonl_path = next();
-    } else if (arg == "--trace-filter") {
-      trace_filter = next();
-    } else if (arg == "--metrics-json") {
-      metrics_path = next();
+    } else if (const auto it = value_options.find(arg);
+               it != value_options.end()) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        return 2;
+      }
+      if (!it->second(argv[++i])) {
+        std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(),
+                     argv[i]);
+        Usage();
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       Usage();
       return 2;
     }
+  }
+  if (config.num_orgs == 0 || config.workload.num_clients == 0 || q == 0 ||
+      q > config.num_orgs) {
+    std::fprintf(stderr,
+                 "need --orgs >= 1, --clients >= 1 and --q in 1..orgs "
+                 "(got orgs=%u clients=%u q=%u)\n",
+                 config.num_orgs, config.workload.num_clients, q);
+    Usage();
+    return 2;
   }
   config.policy = core::EndorsementPolicy{q, config.num_orgs};
 
