@@ -95,7 +95,7 @@ int main() {
     // Engagement: at least one honest org must have refused an announce or
     // rejected an unattested/forged checkpoint, or the attack never landed.
     std::uint64_t honest_pushback = 0;
-    for (const std::size_t org : {0uz, 1uz, 4uz, 5uz}) {
+    for (const std::size_t org : {0, 1, 4, 5}) {
       honest_pushback += with.result.org_catchup[org].ckpt_refused +
                          with.result.org_catchup[org].ckpt_rejected;
     }

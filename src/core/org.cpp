@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/validation_cache.h"
 #include "crdt/object.h"
 #include "obs/trace.h"
 
@@ -68,8 +67,7 @@ Organization::Organization(sim::Simulation& simulation, sim::Network& network,
                            const crypto::Pki& pki,
                            const ContractRegistry& contracts,
                            EndorsementPolicy policy, OrgTimingConfig timing,
-                           VerdictTable& verdicts, Rng rng,
-                           std::shared_ptr<ledger::KvStore> store)
+                           Rng rng, std::shared_ptr<ledger::KvStore> store)
     : simulation_(simulation),
       network_(network),
       node_(node),
@@ -78,7 +76,6 @@ Organization::Organization(sim::Simulation& simulation, sim::Network& network,
       contracts_(contracts),
       policy_(policy),
       timing_(timing),
-      verdicts_(verdicts),
       rng_(rng),
       cpu_(simulation, timing.cores),
       cache_lock_(simulation, 1),
@@ -656,9 +653,9 @@ void Organization::HandleCommit(sim::NodeId from,
                                           arrival, validate_service] {
       if (!running_) return;
       // The simulated validate_service above is charged regardless; the
-      // table only skips the host-side hashing when another organization
-      // already validated byte-identical content (see validation_cache.h).
-      const TxVerdict verdict = verdicts_.Validate(tx);
+      // verdict cached on the shared object only skips the host-side
+      // hashing once another organization has validated it.
+      const TxVerdict verdict = tx->Verdict(pki_, org_keys_, policy_);
       if (obs::Tracer* t = simulation_.tracer()) {
         // The span covers the charged service slice (the queue wait ahead of
         // it belongs to the dedup/admission stage, not validation).
@@ -796,30 +793,28 @@ void Organization::GossipTick() {
     ++gossip_popped_;
   }
   // Pending-pull repair: a pull (or its reply) that got dropped leaves the
-  // id waiting here; after `pull_retry_ticks` quiet ticks re-ask the
+  // id waiting here; after kPullRetryTicks quiet ticks re-ask the
   // advertiser, then expire so a fresh advert can restart the cycle.
-  if (timing_.pull_retry_ticks > 0) {
-    std::unordered_map<sim::NodeId, std::shared_ptr<GossipPullMsg>> retries;
-    for (auto it = pending_pulls_.begin(); it != pending_pulls_.end();) {
-      PendingPull& pending = it->second;
-      if (++pending.ticks_waiting < timing_.pull_retry_ticks) {
-        ++it;
-        continue;
-      }
-      if (pending.retries >= timing_.pull_retry_limit) {
-        it = pending_pulls_.erase(it);
-        continue;
-      }
-      pending.ticks_waiting = 0;
-      ++pending.retries;
-      auto& msg = retries[pending.advertiser];
-      if (!msg) msg = std::make_shared<GossipPullMsg>();
-      msg->ids.push_back(it->first);
+  std::unordered_map<sim::NodeId, std::shared_ptr<GossipPullMsg>> retries;
+  for (auto it = pending_pulls_.begin(); it != pending_pulls_.end();) {
+    PendingPull& pending = it->second;
+    if (++pending.ticks_waiting < kPullRetryTicks) {
       ++it;
+      continue;
     }
-    for (auto& [advertiser, msg] : retries) {
-      network_.Send(node_, advertiser, msg);
+    if (pending.retries >= kPullRetryLimit) {
+      it = pending_pulls_.erase(it);
+      continue;
     }
+    pending.ticks_waiting = 0;
+    ++pending.retries;
+    auto& msg = retries[pending.advertiser];
+    if (!msg) msg = std::make_shared<GossipPullMsg>();
+    msg->ids.push_back(it->first);
+    ++it;
+  }
+  for (auto& [advertiser, msg] : retries) {
+    network_.Send(node_, advertiser, msg);
   }
   simulation_.Schedule(timing_.gossip_interval, [this] { GossipTick(); });
 }

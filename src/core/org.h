@@ -21,8 +21,6 @@
 
 namespace orderless::core {
 
-class VerdictTable;
-
 /// Bounded admission + priority load shedding. Past saturation an unbounded
 /// organization queues work without limit and every latency collapses (the
 /// paper's Fig. 6/7 knees); with admission control it degrades gracefully:
@@ -130,12 +128,6 @@ struct OrgTimingConfig {
   /// push gossip missed, e.g. after partitions heal. Requires retaining the
   /// committed transaction set, so large benchmarks leave it off.
   sim::SimTime antientropy_interval = 0;
-  /// How many gossip ticks an unanswered pull waits before it is re-sent to
-  /// the advertiser (a dropped PullRequest/PullReply would otherwise orphan
-  /// the id until anti-entropy). 0 keeps pull loss unrepaired.
-  std::uint32_t pull_retry_ticks = 2;
-  /// Re-sends per orphaned pull before giving up on the advertiser.
-  std::uint32_t pull_retry_limit = 3;
 
   /// Overload protection (bounded admission + priority shedding).
   OverloadConfig overload;
@@ -201,17 +193,13 @@ struct OrgPhaseStats {
 
 class Organization {
  public:
-  /// `verdicts` is the network-wide validation table every organization of
-  /// the network shares (see validation_cache.h); it must outlive the
-  /// organization. `store` is the ledger's backing KV store; pass nullptr
-  /// for a private in-memory store. A host that wants to crash and later
-  /// rebuild the organization keeps the shared_ptr and hands it to the
-  /// replacement.
+  /// `store` is the ledger's backing KV store; pass nullptr for a private
+  /// in-memory store. A host that wants to crash and later rebuild the
+  /// organization keeps the shared_ptr and hands it to the replacement.
   Organization(sim::Simulation& simulation, sim::Network& network,
                sim::NodeId node, crypto::PrivateKey key,
                const crypto::Pki& pki, const ContractRegistry& contracts,
-               EndorsementPolicy policy, OrgTimingConfig timing,
-               VerdictTable& verdicts, Rng rng,
+               EndorsementPolicy policy, OrgTimingConfig timing, Rng rng,
                std::shared_ptr<ledger::KvStore> store = nullptr);
 
   /// Registers the network handler and starts the gossip timer.
@@ -363,7 +351,6 @@ class Organization {
   const ContractRegistry& contracts_;
   EndorsementPolicy policy_;
   OrgTimingConfig timing_;
-  VerdictTable& verdicts_;
   Rng rng_;
 
   sim::Processor cpu_;
@@ -408,9 +395,10 @@ class Organization {
   // Pulls awaiting their GossipMsg, keyed by tx id. Suppresses duplicate
   // pulls while outstanding, and — because a dropped PullRequest/PullReply
   // would otherwise orphan the id until anti-entropy — re-sends the pull to
-  // the advertiser after `pull_retry_ticks` gossip ticks, up to
-  // `pull_retry_limit` times before the entry expires (a fresh advert then
-  // restarts the cycle).
+  // the advertiser after kPullRetryTicks gossip ticks, up to kPullRetryLimit
+  // times before the entry expires (a fresh advert then restarts the cycle).
+  static constexpr std::uint32_t kPullRetryTicks = 2;
+  static constexpr std::uint32_t kPullRetryLimit = 3;
   struct PendingPull {
     sim::NodeId advertiser = 0;
     std::uint32_t ticks_waiting = 0;

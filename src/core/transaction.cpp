@@ -1,6 +1,7 @@
 #include "core/transaction.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
 namespace orderless::core {
@@ -108,7 +109,7 @@ void Transaction::Encode(codec::Writer& w) const {
 }
 
 BytesView Transaction::EncodedBody() const {
-  if (!cached_encoding_) {
+  if (cached_encoding_.empty()) {
     codec::Writer w;
     w.Reserve(proposal.WireSize() + ops.size() * 64 +
               endorsements.size() * 48 + 96);
@@ -125,14 +126,9 @@ BytesView Transaction::EncodedBody() const {
     }
     w.PutBytes(client_signature.View());
     w.PutBytes(id.View());
-    cached_encoding_ = std::make_shared<const Bytes>(w.Take());
+    cached_encoding_ = w.Take();
   }
-  return BytesView(*cached_encoding_);
-}
-
-std::shared_ptr<const Bytes> Transaction::SharedEncoding() const {
-  (void)EncodedBody();
-  return cached_encoding_;
+  return BytesView(cached_encoding_);
 }
 
 crypto::Digest Transaction::ProposalDigest() const { return proposal.Digest(); }
@@ -180,6 +176,19 @@ std::shared_ptr<Transaction> Transaction::Decode(codec::Reader& r) {
 std::size_t Transaction::WireSize() const {
   (void)EncodedBody();  // the single encode records the wire size
   return cached_wire_size_;
+}
+
+TxVerdict Transaction::Verdict(
+    const crypto::Pki& pki, const std::set<crypto::KeyId>& organization_keys,
+    const EndorsementPolicy& policy) const {
+  std::atomic_ref<std::uint8_t> slot(cached_verdict_);
+  std::uint8_t verdict = slot.load(std::memory_order_relaxed);
+  if (verdict == kNoVerdict) {
+    verdict = static_cast<std::uint8_t>(
+        ValidateTransaction(*this, pki, organization_keys, policy));
+    slot.store(verdict, std::memory_order_relaxed);
+  }
+  return static_cast<TxVerdict>(verdict);
 }
 
 std::string_view TxVerdictName(TxVerdict v) {

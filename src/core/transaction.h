@@ -65,22 +65,36 @@ inline constexpr std::string_view kEndorseContext = "orderless.endorse";
 inline constexpr std::string_view kTxContext = "orderless.tx";
 inline constexpr std::string_view kReceiptContext = "orderless.receipt";
 
+/// Why a transaction was accepted or rejected.
+enum class TxVerdict : std::uint8_t {
+  kValid = 0,
+  kBadClientSignature,
+  kInsufficientEndorsements,
+  kUnknownEndorser,
+  kDuplicateEndorser,
+  kBadEndorsementSignature,
+  kIdMismatch,
+};
+
+std::string_view TxVerdictName(TxVerdict v);
+
 /// Phase-2 transaction: proposal + endorsed write-set + endorsements +
 /// client signature.
 ///
 /// A transaction is immutable once Assemble()/Decode() returns (it flows
 /// through the system as shared_ptr<const Transaction>), so its canonical
-/// encoding, proposal digest and write-set digest are computed lazily once
-/// and cached. Because the same object is shared zero-copy through
-/// sim::Network by every simulated organization, the first computation
-/// serves the whole cluster — the n-fold re-encode/re-hash the seed paid
-/// per validation disappears. Host-side only.
+/// encoding, proposal digest, write-set digest and validation verdict are
+/// computed lazily once and cached. Because the same object is shared
+/// zero-copy through sim::Network by every simulated organization, the first
+/// computation serves the whole cluster — the n-fold re-encode/re-hash/
+/// re-verify the seed paid per validation disappears. Host-side only.
 ///
 /// Under parallel execution several org lanes read one object's caches
 /// concurrently, so every object that is shared across lanes must be
 /// Seal()ed by its only holder first: Assemble() does it for client-built
 /// transactions, and recovery does it for bodies reloaded from the ledger.
-/// Decode() leaves the caches empty (a decoded copy starts cache-free).
+/// Decode() leaves the caches empty (a decoded copy starts cache-free and
+/// is validated once itself).
 struct Transaction {
   Proposal proposal;
   std::vector<crdt::Operation> ops;
@@ -97,9 +111,10 @@ struct Transaction {
   static crypto::Digest ComputeId(const crypto::Digest& proposal_digest,
                                   const crypto::Digest& writeset_digest);
 
-  /// Fills every lazily-computed cache (encoding, digests, wire size), after
-  /// which reads of this object never write. Call while holding the only
-  /// reference, before the object is shared across simulation lanes.
+  /// Fills the encoding, digest and wire-size caches, after which only
+  /// Verdict() writes to this object, through an atomic. Call while holding
+  /// the only reference, before the object is shared across simulation
+  /// lanes.
   void Seal() const;
 
   /// Canonical binary form; used to persist committed transaction bodies so
@@ -113,12 +128,6 @@ struct Transaction {
   /// valid for the life of the transaction object.
   BytesView EncodedBody() const;
 
-  /// The same canonical encoding as a refcounted buffer. The verdict table
-  /// keeps it beside each verdict, so a later lookup with the same buffer
-  /// hits on pointer equality alone. The buffer outlives the transaction if
-  /// the holder keeps it longer.
-  std::shared_ptr<const Bytes> SharedEncoding() const;
-
   /// Cached digest of the embedded proposal / write-set — what
   /// ValidateTransaction recomputed from scratch per organization before.
   crypto::Digest ProposalDigest() const;
@@ -127,37 +136,38 @@ struct Transaction {
   /// Simulated network size, recorded by the encode behind EncodedBody().
   std::size_t WireSize() const;
 
-  /// Voids every cached derivation (encoding, digests, wire size). Only for
-  /// code that deliberately mutates a transaction in place after assembly —
-  /// i.e. tests modelling tampering; protocol code never mutates one.
+  /// ValidateTransaction(*this, pki, organization_keys, policy), computed by
+  /// the first call and kept with the object. Precondition: every call on
+  /// one object passes the same pki, key set and policy — true for every
+  /// organization of one simulated network, since a transaction object
+  /// never crosses networks. Safe from several lanes on a Seal()ed object:
+  /// lanes that race both compute the same pure verdict.
+  TxVerdict Verdict(const crypto::Pki& pki,
+                    const std::set<crypto::KeyId>& organization_keys,
+                    const EndorsementPolicy& policy) const;
+
+  /// Voids every cached derivation (encoding, digests, wire size, verdict).
+  /// Only for code that deliberately mutates a transaction in place after
+  /// assembly — i.e. tests modelling tampering; protocol code never mutates
+  /// one.
   void InvalidateCache() const {
-    cached_encoding_.reset();
+    cached_encoding_.clear();
     ops_digest_cached_ = false;
+    cached_verdict_ = kNoVerdict;
     proposal.InvalidateCache();
   }
 
  private:
-  // Set together with cached_encoding_.
+  static constexpr std::uint8_t kNoVerdict = 0xff;
+
+  // Set together with cached_encoding_ (empty until the first encode).
   mutable std::size_t cached_wire_size_ = 0;
-  // Refcounted so SharedEncoding() can hand the buffer to the verdict table
-  // without copying; EncodedBody() views into the same storage.
-  mutable std::shared_ptr<const Bytes> cached_encoding_;
+  mutable Bytes cached_encoding_;
   mutable bool ops_digest_cached_ = false;
+  // A TxVerdict, or kNoVerdict; read and written through std::atomic_ref.
+  mutable std::uint8_t cached_verdict_ = kNoVerdict;
   mutable crypto::Digest cached_ops_digest_{};
 };
-
-/// Why a transaction was accepted or rejected.
-enum class TxVerdict : std::uint8_t {
-  kValid = 0,
-  kBadClientSignature,
-  kInsufficientEndorsements,
-  kUnknownEndorser,
-  kDuplicateEndorser,
-  kBadEndorsementSignature,
-  kIdMismatch,
-};
-
-std::string_view TxVerdictName(TxVerdict v);
 
 /// Definition 3.2 signature validity: the client signed the transaction and
 /// at least q distinct known organizations endorsed the exact write-set.

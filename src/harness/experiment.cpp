@@ -209,9 +209,10 @@ class OrderlessDriver final : public Driver {
       }
     }
     if (config.byzantine_client_fraction > 0) {
-      const auto byz_clients = static_cast<std::size_t>(
-          config.byzantine_client_fraction *
-          static_cast<double>(net_->client_count()));
+      const auto byz_clients = std::min(
+          net_->client_count(),
+          static_cast<std::size_t>(config.byzantine_client_fraction *
+                                   static_cast<double>(net_->client_count())));
       for (std::size_t i = 0; i < byz_clients; ++i) {
         net_->client(i).SetByzantine(config.byzantine_client_behavior);
       }

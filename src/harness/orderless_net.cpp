@@ -50,15 +50,11 @@ OrderlessNet::OrderlessNet(OrderlessNetConfig config)
     org_keys_.insert(org_identities_.back().id());
     org_stores_.push_back(std::make_shared<ledger::MemKvStore>());
   }
-  // The PKI, key directory and policy are fixed from here on, which is
-  // exactly the precondition for sharing verdicts across organizations.
-  verdicts_ = std::make_unique<core::VerdictTable>(pki_, org_keys_,
-                                                   config_.policy);
   for (std::uint32_t i = 0; i < config_.num_orgs; ++i) {
     orgs_.push_back(std::make_unique<core::Organization>(
         simulation_, *network_, org_nodes_[i], org_identities_[i], pki_,
-        contracts_, config_.policy, config_.org_timing, *verdicts_,
-        rng_.Fork(), org_stores_[i]));
+        contracts_, config_.policy, config_.org_timing, rng_.Fork(),
+        org_stores_[i]));
   }
   for (auto& org : orgs_) {
     org->SetPeers(org_nodes_, org_keys_);
@@ -91,8 +87,8 @@ bool OrderlessNet::RestartOrg(std::size_t i) {
   graveyard_.push_back(std::move(orgs_[i]));
   orgs_[i] = std::make_unique<core::Organization>(
       simulation_, *network_, org_node(i), org_identities_[i], pki_,
-      contracts_, config_.policy, config_.org_timing, *verdicts_,
-      rng_.Fork(), org_stores_[i]);
+      contracts_, config_.policy, config_.org_timing, rng_.Fork(),
+      org_stores_[i]);
   orgs_[i]->SetPeers(org_nodes_, org_keys_);
   const bool consistent = orgs_[i]->RecoverFromLedger();
   orgs_[i]->Start();

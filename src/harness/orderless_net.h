@@ -8,7 +8,6 @@
 
 #include "core/client.h"
 #include "core/org.h"
-#include "core/validation_cache.h"
 #include "crypto/pki.h"
 #include "obs/trace.h"
 #include "sim/network.h"
@@ -103,9 +102,6 @@ class OrderlessNet {
   core::ContractRegistry contracts_;
   Rng rng_;
   std::unique_ptr<sim::Network> network_;
-  // One validation table per network, shared by every organization (built
-  // once the key directory exists; see validation_cache.h).
-  std::unique_ptr<core::VerdictTable> verdicts_;
   std::vector<std::unique_ptr<core::Organization>> orgs_;
   std::vector<std::unique_ptr<core::Client>> clients_;
   // Restart support: per-org persistent store, identity, and the directory

@@ -4,12 +4,12 @@
 //
 // The paper's Go prototype guards the cache with a lock and applies
 // modifications sequentially; in the simulator that serialization is modeled
-// as CPU service time, and this class additionally keeps a mutex per entry
-// so it stays correct if embedded in a threaded host.
+// as simulated service time on the organization's cache-lock queue. On the
+// host each cache is owned by its organization's lane, which alone applies
+// and reads it while the simulation runs, so the class takes no lock.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,14 +49,7 @@ class CrdtCache {
   void Clear();
 
  private:
-  struct Entry {
-    mutable std::mutex mutex;
-    std::unique_ptr<crdt::CrdtObject> object;
-  };
-  Entry& GetOrCreate(const std::string& object_id, crdt::CrdtType type);
-
-  mutable std::mutex map_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+  std::unordered_map<std::string, std::unique_ptr<crdt::CrdtObject>> objects_;
 };
 
 }  // namespace orderless::ledger

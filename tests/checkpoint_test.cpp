@@ -524,7 +524,7 @@ TEST(CheckpointCatchup, ByzantineCatchupHealsInODeltaUnderAttack) {
   // unreproducible announcements and rejected unattested/forged snapshots,
   // and the network still promoted honest checkpoints to quorum.
   std::uint64_t honest_pushback = 0;
-  for (const std::size_t org : {0uz, 1uz, 4uz, 5uz}) {
+  for (const std::size_t org : {0, 1, 4, 5}) {
     honest_pushback += on.org_catchup[org].ckpt_refused +
                        on.org_catchup[org].ckpt_rejected;
   }

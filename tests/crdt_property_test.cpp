@@ -106,6 +106,9 @@ std::vector<Operation> RandomOps(Rng& rng, CrdtType type, int num_clients,
           }
           break;
         }
+        case CrdtType::kSequence:
+          ADD_FAILURE() << "RandomOps generates no sequence operations";
+          break;
         case CrdtType::kNone:
           break;
       }

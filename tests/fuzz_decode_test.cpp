@@ -388,13 +388,19 @@ TEST(FuzzDecode, MutatedTransactionsNeverCrash) {
   }
 
   // Whatever still decodes must seal, re-encode, size and validate without
-  // faulting, and its re-encoding must be stable.
-  const auto exercise = [&](const core::Transaction& decoded) {
+  // faulting, its re-encoding must be stable, and its cached verdict must
+  // equal ValidateTransaction on the first and on a cached call. Mutated
+  // again in place and invalidated, it must get a fresh verdict.
+  int refreshed = 0;  // mutants whose fresh verdict differs from the first
+  const auto exercise = [&](core::Transaction& decoded) {
     decoded.Seal();
     codec::Writer first;
     decoded.Encode(first);
     (void)decoded.WireSize();
-    (void)core::ValidateTransaction(decoded, pki, org_ids, policy);
+    const core::TxVerdict reference =
+        core::ValidateTransaction(decoded, pki, org_ids, policy);
+    EXPECT_EQ(decoded.Verdict(pki, org_ids, policy), reference);
+    EXPECT_EQ(decoded.Verdict(pki, org_ids, policy), reference);
     codec::Reader r{BytesView(first.data())};
     const auto again = core::Transaction::Decode(r);
     ASSERT_NE(again, nullptr);
@@ -402,6 +408,15 @@ TEST(FuzzDecode, MutatedTransactionsNeverCrash) {
     again->Encode(second);
     EXPECT_EQ(second.data(), first.data());
     EXPECT_EQ(again->WireSize(), decoded.WireSize());
+
+    decoded.id.bytes[0] ^= 0x01;  // no longer binds the contents
+    decoded.InvalidateCache();
+    decoded.Seal();
+    const core::TxVerdict fresh =
+        core::ValidateTransaction(decoded, pki, org_ids, policy);
+    EXPECT_EQ(fresh, core::TxVerdict::kIdMismatch);
+    EXPECT_EQ(decoded.Verdict(pki, org_ids, policy), fresh);
+    if (fresh != reference) ++refreshed;
   };
   Rng rng(4242);
   int decoded_count = 0;
@@ -420,6 +435,7 @@ TEST(FuzzDecode, MutatedTransactionsNeverCrash) {
     }
   }
   EXPECT_GT(decoded_count, 0);  // some mutations land in signatures or values
+  EXPECT_GT(refreshed, 0);  // some mutants first failed on other than the id
   for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
     codec::Reader r{BytesView(encoded.data(), cut)};
     // The id is the last field, so no strict prefix decodes.

@@ -220,9 +220,9 @@ TEST(GossipProtocol, DroppedPullIsRetriedToAdvertiser) {
     }
   }
 
-  // The pending-pull retry (every pull_retry_ticks gossip ticks, up to
-  // pull_retry_limit times) repairs the loss; without it the single advert
-  // round would leave three organizations orphaned forever.
+  // The pending-pull retry (every 2 gossip ticks, up to 3 times) repairs
+  // the loss; without it the single advert round would leave three
+  // organizations orphaned forever.
   net->simulation().RunUntil(sim::Sec(5));
   for (std::size_t i = 0; i < net->org_count(); ++i) {
     EXPECT_EQ(net->org(i).ledger().committed_valid(), 1u) << "org " << i;

@@ -103,6 +103,27 @@ TEST(ExperimentTest, ByzantinePhaseScheduleReducesThroughput) {
             healthy.committed_modify + healthy.committed_read);
 }
 
+TEST(ExperimentTest, ByzantineClientFractionAboveOneMarksEveryClient) {
+  // The fraction is capped at the client count: every client tampers its
+  // write-sets, so every Modify is rejected and every read still commits.
+  ExperimentConfig config;
+  config.system = SystemKind::kOrderless;
+  config.app = AppKind::kVoting;
+  config.num_orgs = 4;
+  config.policy = core::EndorsementPolicy{2, 4};
+  config.workload.arrival_tps = 50;
+  config.workload.duration = sim::Sec(2);
+  config.workload.num_clients = 10;
+  config.byzantine_client_fraction = 2.0;
+  config.byzantine_client_behavior.active = true;
+  config.byzantine_client_behavior.tamper_writeset = true;
+  const auto result = RunExperiment(config);
+  EXPECT_EQ(result.metrics.submitted, 100u);
+  EXPECT_EQ(result.metrics.committed_modify, 0u);
+  EXPECT_EQ(result.metrics.committed_read + result.metrics.rejected,
+            result.metrics.submitted);
+}
+
 TEST(ExperimentTest, AveragedPointRunsMultipleSeeds) {
   ExperimentConfig config;
   config.system = SystemKind::kOrderless;

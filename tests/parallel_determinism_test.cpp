@@ -214,10 +214,11 @@ TEST(ParallelExperiment, CheckpointTracedRunBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The shared verdict table and tracing must stay outcome-neutral under the
-// worker pool too, not just sequentially (obs_determinism_test covers
-// threads=1). At 4 threads org lanes race to fill the table; the run must
-// still equal the sequential one, which fills it in canonical order.
+// Shared transactions' cached verdicts and tracing must stay outcome-neutral
+// under the worker pool too, not just sequentially (obs_determinism_test
+// covers threads=1). At 4 threads org lanes race to fill each verdict; the
+// run must still equal the sequential one, which fills them in canonical
+// order.
 TEST(ParallelExperiment, MemoAndTracingStayOutcomeNeutralAt4Threads) {
   const chaos::Scenario scenario = chaos::GenerateScenario(23);
   chaos::RunOptions plain;

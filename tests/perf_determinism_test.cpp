@@ -1,9 +1,11 @@
-// The hot-path caches (encode-once/hash-once transactions, the network-wide
-// verdict table) are host-side only: every cached value must equal an
-// independent recomputation, and a simulated run must be bit-identical no
-// matter which lane filled the shared table — same fingerprint, same event
-// count, same ledger chain head at every organization. These tests pin that
-// contract, plus the verdict table's Byzantine body-substitution guard.
+// The hot-path caches (encode-once/hash-once transactions and the verdict
+// each transaction object caches) are host-side only: every cached value
+// must equal an independent recomputation, and a simulated run must be
+// bit-identical no matter which lane filled a shared object's verdict —
+// same fingerprint, same event count, same ledger chain head at every
+// organization. These tests pin that contract, plus the Byzantine
+// body-substitution case: a forged body under an honest id earns its own
+// verdict.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +13,6 @@
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "core/transaction.h"
-#include "core/validation_cache.h"
 #include "crypto/pki.h"
 #include "crypto/sha256.h"
 
@@ -29,10 +30,10 @@ chaos::Scenario DeterminismScenario(std::uint64_t seed) {
   return chaos::GenerateScenario(seed, limits);
 }
 
-// The verdict table is the one host cache whose fill order depends on host
-// scheduling: at 4 threads whichever org lane validates a transaction first
-// stores its verdict, at 1 thread the canonical event order decides. Either
-// way the replay must be bit-identical.
+// A transaction's cached verdict is the one host cache whose fill order
+// depends on host scheduling: at 4 threads whichever org lane validates a
+// shared transaction first stores its verdict, at 1 thread the canonical
+// event order decides. Either way the replay must be bit-identical.
 TEST(PerfDeterminism, ChaosReplayIdenticalWithAndWithoutMemo) {
   // Two seeds so both a quiet and a fault-heavy script are covered.
   for (const std::uint64_t seed : {7u, 1234u}) {
@@ -153,6 +154,8 @@ TEST(PerfDeterminism, TransactionEncodingIdenticalWithAndWithoutMemo) {
   EXPECT_EQ(tx->WireSize(), copy->WireSize());
 }
 
+// Transaction::Verdict: the verdict a transaction object caches for every
+// organization of its network.
 class VerdictTableFixture : public ::testing::Test {
  protected:
   VerdictTableFixture()
@@ -166,10 +169,6 @@ class VerdictTableFixture : public ::testing::Test {
     crypto::batch::SetCountDispatch(true);
   }
   ~VerdictTableFixture() override { crypto::batch::SetCountDispatch(false); }
-
-  core::VerdictTable MakeTable() {
-    return core::VerdictTable(pki_, org_keys_, policy_);
-  }
 
   /// Honest transaction endorsed by `endorsers` (default: both orgs).
   std::shared_ptr<core::Transaction> MakeTx(
@@ -207,6 +206,10 @@ class VerdictTableFixture : public ::testing::Test {
     return crypto::batch::Counts().verify_batches;
   }
 
+  core::TxVerdict Verdict(const core::Transaction& tx) const {
+    return tx.Verdict(pki_, org_keys_, policy_);
+  }
+
   core::TxVerdict Reference(const core::Transaction& tx) const {
     return core::ValidateTransaction(tx, pki_, org_keys_, policy_);
   }
@@ -220,58 +223,80 @@ class VerdictTableFixture : public ::testing::Test {
   core::EndorsementPolicy policy_;
 };
 
-TEST_F(VerdictTableFixture, SameObjectAndDecodedCopyHitWithoutVerifying) {
-  core::VerdictTable table = MakeTable();
+TEST_F(VerdictTableFixture, SameObjectVerifiedOnce) {
   const std::shared_ptr<const core::Transaction> tx = MakeTx(7);
-  EXPECT_EQ(table.Validate(tx), core::TxVerdict::kValid);
-  ASSERT_EQ(VerifyCalls(), 1u);  // the miss verified all signatures at once
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kValid);
+  ASSERT_EQ(VerifyCalls(), 1u);  // the first call verified every signature
 
   // Same object: the zero-copy delivery case.
-  EXPECT_EQ(table.Validate(tx), core::TxVerdict::kValid);
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kValid);
   EXPECT_EQ(VerifyCalls(), 1u);
 
-  // A decoded copy (anti-entropy / recovery path): different object and
-  // buffer, byte-identical canonical form — still a hit.
+  // A decoded copy (anti-entropy / recovery path) is another object with
+  // empty caches: it is validated once itself, then served from its own slot.
   codec::Writer w;
   tx->Encode(w);
   codec::Reader r(BytesView(w.data()));
   std::shared_ptr<const core::Transaction> copy = core::Transaction::Decode(r);
   ASSERT_NE(copy, nullptr);
   copy->Seal();
-  ASSERT_NE(copy->SharedEncoding(), tx->SharedEncoding());
-  EXPECT_EQ(table.Validate(copy), core::TxVerdict::kValid);
-  EXPECT_EQ(VerifyCalls(), 1u);
-  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(Verdict(*copy), core::TxVerdict::kValid);
+  EXPECT_EQ(VerifyCalls(), 2u);
+  EXPECT_EQ(Verdict(*copy), core::TxVerdict::kValid);
+  EXPECT_EQ(VerifyCalls(), 2u);
 }
 
 TEST_F(VerdictTableFixture, ForgedBodyUnderKnownIdIsValidatedInFull) {
-  core::VerdictTable table = MakeTable();
   const std::shared_ptr<const core::Transaction> tx = MakeTx(7);
-  ASSERT_EQ(table.Validate(tx), core::TxVerdict::kValid);
+  ASSERT_EQ(Verdict(*tx), core::TxVerdict::kValid);
   const std::uint64_t after_honest = VerifyCalls();
 
-  // A Byzantine peer ships a different body under the verified id: the table
-  // must not vouch for it, so the forgery pays a full validation (one more
-  // signature pass) and gets its own verdict.
+  // A Byzantine peer ships a different body under the verified id: the
+  // honest object's verdict must not vouch for it, so the forgery pays a
+  // full validation (one more signature pass) and gets its own verdict.
   const auto forged = Forge(*tx, [](core::Transaction& t) {
     t.client_signature.bytes[0] ^= 0x01;
   });
   ASSERT_EQ(forged->id, tx->id);  // id claims to be the verified tx
-  EXPECT_EQ(table.Validate(forged), core::TxVerdict::kBadClientSignature);
+  EXPECT_EQ(Verdict(*forged), core::TxVerdict::kBadClientSignature);
   EXPECT_EQ(VerifyCalls(), after_honest + 1);
 
   // A forged write-set fails earlier (the id no longer binds it) — still
-  // never the stored kValid.
+  // never the honest kValid.
   const auto tampered = Forge(*tx, [](core::Transaction& t) {
     t.ops[0].value = crdt::Value(std::int64_t{999});
   });
-  EXPECT_EQ(table.Validate(tampered), core::TxVerdict::kIdMismatch);
+  EXPECT_EQ(Verdict(*tampered), core::TxVerdict::kIdMismatch);
 
-  // The forgeries never replaced the stored entry: the honest body still
-  // hits without verifying anything.
-  EXPECT_EQ(table.Validate(tx), core::TxVerdict::kValid);
+  // The forgeries left the honest object's verdict alone: it is still
+  // served without verifying anything.
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kValid);
   EXPECT_EQ(VerifyCalls(), after_honest + 1);
-  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST_F(VerdictTableFixture, InvalidateCacheAfterMutationGivesFreshVerdict) {
+  const std::shared_ptr<core::Transaction> tx = MakeTx(7);
+  ASSERT_EQ(Verdict(*tx), core::TxVerdict::kValid);
+  ASSERT_EQ(VerifyCalls(), 1u);
+
+  // Tampering in place without InvalidateCache() keeps the stale verdict:
+  // that is the documented contract, and shows the verdict is cached.
+  tx->client_signature.bytes[0] ^= 0x01;
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kValid);
+  EXPECT_EQ(VerifyCalls(), 1u);
+
+  tx->InvalidateCache();
+  tx->Seal();
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kBadClientSignature);
+  EXPECT_EQ(VerifyCalls(), 2u);
+
+  // A write-set mutated in place: the digests are recomputed too, so the id
+  // no longer binds the ops.
+  tx->client_signature.bytes[0] ^= 0x01;
+  tx->ops[0].value = crdt::Value(std::int64_t{999});
+  tx->InvalidateCache();
+  EXPECT_EQ(Verdict(*tx), core::TxVerdict::kIdMismatch);
+  EXPECT_EQ(Verdict(*tx), Reference(*tx));
 }
 
 TEST_F(VerdictTableFixture, EveryVerdictKindMatchesValidateTransaction) {
@@ -302,35 +327,15 @@ TEST_F(VerdictTableFixture, EveryVerdictKindMatchesValidateTransaction) {
   for (const Case& c : cases) {
     const std::string kind(core::TxVerdictName(c.expected));
     ASSERT_EQ(Reference(*c.tx), c.expected) << kind;
-    core::VerdictTable table = MakeTable();
-    EXPECT_EQ(table.Validate(c.tx), c.expected) << kind << " (first call)";
-    ASSERT_EQ(table.size(), 1u) << kind;
-    EXPECT_EQ(table.Validate(c.tx), c.expected) << kind << " (cached call)";
+    EXPECT_EQ(Verdict(*c.tx), c.expected) << kind << " (first call)";
+    const std::uint64_t before = VerifyCalls();
+    EXPECT_EQ(Verdict(*c.tx), c.expected) << kind << " (cached call)";
+    EXPECT_EQ(VerifyCalls(), before) << kind;
   }
 }
 
-TEST_F(VerdictTableFixture, InsertPastCapacityEvictsFirstEntry) {
-  core::VerdictTable table = MakeTable();
-  std::vector<std::shared_ptr<const core::Transaction>> txs;
-  txs.reserve(core::VerdictTable::kCapacity + 1);
-  for (std::uint64_t i = 0; i <= core::VerdictTable::kCapacity; ++i) {
-    txs.push_back(MakeTx(1000 + i));
-    ASSERT_EQ(table.Validate(txs.back()), core::TxVerdict::kValid);
-  }
-  EXPECT_EQ(table.size(), core::VerdictTable::kCapacity);
-
-  // The 8193rd insert evicted the first entry only: the second still hits,
-  // the first has to be verified again.
-  const std::uint64_t before = VerifyCalls();
-  EXPECT_EQ(table.Validate(txs[1]), core::TxVerdict::kValid);
-  EXPECT_EQ(VerifyCalls(), before);
-  EXPECT_EQ(table.Validate(txs[0]), core::TxVerdict::kValid);
-  EXPECT_EQ(VerifyCalls(), before + 1);
-  EXPECT_EQ(table.size(), core::VerdictTable::kCapacity);
-}
-
-// Every org lane calls the table directly; under the parallel engine several
-// lanes validate the same objects at once. Runs under the TSan job.
+// Under the parallel engine several org lanes ask one shared object for its
+// verdict at once. Runs under the TSan job.
 TEST_F(VerdictTableFixture, ConcurrentLanesAgreeWithValidateTransaction) {
   crypto::batch::SetCountDispatch(false);
   std::vector<std::shared_ptr<const core::Transaction>> txs;
@@ -347,7 +352,6 @@ TEST_F(VerdictTableFixture, ConcurrentLanesAgreeWithValidateTransaction) {
   std::vector<core::TxVerdict> expected;
   for (const auto& tx : txs) expected.push_back(Reference(*tx));
 
-  core::VerdictTable table = MakeTable();
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPasses = 2;
   // seen[thread][pass][tx]
@@ -357,13 +361,13 @@ TEST_F(VerdictTableFixture, ConcurrentLanesAgreeWithValidateTransaction) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Each thread walks the set from a different offset, twice, so misses
-      // and hits interleave across threads.
+      // Each thread walks the set from a different offset, twice, so first
+      // and cached calls interleave across threads.
       const std::size_t offset = t * txs.size() / kThreads;
       for (std::size_t pass = 0; pass < kPasses; ++pass) {
         for (std::size_t k = 0; k < txs.size(); ++k) {
           const std::size_t i = (k + offset) % txs.size();
-          seen[t][pass][i] = table.Validate(txs[i]);
+          seen[t][pass][i] = Verdict(*txs[i]);
         }
       }
     });

@@ -1,7 +1,7 @@
 // CLI experiment runner: run any (system × application × workload)
 // combination from the command line without writing code.
 //
-//   run_experiment --system orderless --app voting --orgs 16 --q 4 \
+//   run_experiment --system orderless --app voting --orgs 16 --q 4
 //                  --rate 3000 --seconds 8 --clients 1000 [--seed 1]
 //                  [--modify-fraction 0.5] [--objs 1] [--ops 1]
 //                  [--crdt g-counter] [--byz-orgs 3] [--avoidance]
@@ -15,7 +15,9 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 
+#include "contracts/synthetic.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "obs/export.h"
@@ -33,10 +35,12 @@ void Usage() {
       "  --system  orderless|fabric|fabriccrdt|bidl|synchotstuff\n"
       "  --app     synthetic|voting|auction\n"
       "  --orgs N  --q N  --rate TPS  --seconds S  --clients N  --seed N\n"
-      "                       (orgs and clients at least 1, q in 1..orgs)\n"
-      "  --modify-fraction F   (default 0.5)\n"
-      "  --objs N --ops N --crdt TYPE   (synthetic app parameters)\n"
-      "  --byz-orgs N   --byz-clients F   --avoidance\n"
+      "                       (orgs, clients and rate x seconds at least\n"
+      "                       1, q in 1..orgs)\n"
+      "  --modify-fraction F   (0..1, default 0.5)\n"
+      "  --objs N --ops N --crdt TYPE   (synthetic app parameters: objs and\n"
+      "                       ops at least 1, TYPE g-counter|mv-register|map)\n"
+      "  --byz-orgs N (at most orgs)  --byz-clients F (0..1)  --avoidance\n"
       "  --gossip-fanout N\n"
       "  --checkpoint-interval-ms N   signed CRDT checkpoints + O(delta)\n"
       "                       catch-up every N ms; a checkpoint installs\n"
@@ -199,14 +203,33 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.num_orgs == 0 || config.workload.num_clients == 0 || q == 0 ||
-      q > config.num_orgs) {
-    std::fprintf(stderr,
-                 "need --orgs >= 1, --clients >= 1 and --q in 1..orgs "
-                 "(got orgs=%u clients=%u q=%u)\n",
-                 config.num_orgs, config.workload.num_clients, q);
-    Usage();
-    return 2;
+  // Inputs that would crash the run or run an empty or meaningless one.
+  const harness::WorkloadConfig& w = config.workload;
+  const std::uint32_t byz_orgs = config.byzantine_phases.empty()
+                                     ? 0
+                                     : config.byzantine_phases[0].byzantine_orgs;
+  const bool known_crdt = w.crdt_type == contracts::kTypeGCounter ||
+                          w.crdt_type == contracts::kTypeMVRegister ||
+                          w.crdt_type == contracts::kTypeMap;
+  const std::pair<bool, const char*> rules[] = {
+      {config.num_orgs == 0, "--orgs must be at least 1"},
+      {w.num_clients == 0, "--clients must be at least 1"},
+      {q == 0 || q > config.num_orgs, "--q must be in 1..orgs"},
+      {w.arrival_tps * sim::ToSec(w.duration) < 1,
+       "--rate times --seconds must be at least 1 (nothing is submitted)"},
+      {w.modify_fraction > 1, "--modify-fraction must be in 0..1"},
+      {byz_orgs > config.num_orgs, "--byz-orgs must not exceed --orgs"},
+      {config.byzantine_client_fraction > 1, "--byz-clients must be in 0..1"},
+      {w.obj_count == 0, "--objs must be at least 1"},
+      {w.ops_per_obj == 0, "--ops must be at least 1"},
+      {!known_crdt, "--crdt must be g-counter, mv-register or map"},
+  };
+  for (const auto& [broken, rule] : rules) {
+    if (broken) {
+      std::fprintf(stderr, "%s\n", rule);
+      Usage();
+      return 2;
+    }
   }
   config.policy = core::EndorsementPolicy{q, config.num_orgs};
 
