@@ -75,7 +75,7 @@ int main() {
     TablePrinter table(PointHeaders("gossip ratio"));
     for (std::uint32_t fanout : {1u, 5u, 10u, 15u}) {
       ExperimentConfig config = SyntheticDefaults();
-      config.gossip_fanout = fanout;
+      config.org_timing.gossip_fanout = fanout;
       PrintPointRow(table, std::to_string(fanout) + " orgs",
                     RunAveraged(config, reps));
     }

@@ -24,8 +24,8 @@ orderless::bench::ExperimentConfig ByzTimelineConfig(bool avoidance) {
   config.byzantine_org_behavior.wrong_endorse_prob = 0.5;
   config.byzantine_org_behavior.ignore_commit_prob = 0.5;
   config.byzantine_org_behavior.suppress_gossip = true;
-  config.client_avoidance = avoidance;
-  config.client_max_attempts = avoidance ? 3 : 1;
+  config.client_timing.avoid_byzantine = avoidance;
+  config.client_timing.max_attempts = avoidance ? 3 : 1;
   // Shorter endorsement timeout so failures register within the timeline.
   return config;
 }

@@ -36,25 +36,22 @@ ExperimentConfig OverloadConfigAt(double multiplier, bool protected_mode,
   config.workload.modify_fraction = 0.5;
   config.workload.num_clients = 400;
   config.seed = seed;
-  config.org_endorse_base = sim::Ms(2);
-  config.org_commit_base = sim::Ms(1);
+  config.org_timing.endorse_base = sim::Ms(2);
+  config.org_timing.commit_base = sim::Ms(1);
   // Both modes share the same client patience: a commit that arrives after
   // the client already gave up is not goodput. The unprotected system's
   // queues push latency past this deadline at high load, which is exactly
   // the collapse this figure exists to show.
-  config.client_endorse_timeout = sim::Sec(1);
-  config.client_commit_timeout = sim::Sec(2);
+  config.client_timing.endorse_timeout = sim::Sec(1);
+  config.client_timing.commit_timeout = sim::Sec(2);
   if (protected_mode) {
-    config.overload.enabled = true;
-    config.overload.max_backlog_gossip = sim::Ms(250);
-    config.overload.max_backlog_endorse = sim::Ms(600);
-    config.overload.max_backlog_commit = sim::Sec(2);
-    config.client_max_attempts = 4;
-    config.client_backoff_base = sim::Ms(50);
-    config.client_backoff_cap = sim::Sec(1);
-    config.client_org_retry_budget = 2;
-    config.client_breaker_threshold = 8;
-    config.client_breaker_cooldown = sim::Ms(500);
+    config.org_timing.overload.enabled = true;
+    config.client_timing.max_attempts = 4;
+    config.client_timing.backoff_base = sim::Ms(50);
+    config.client_timing.backoff_cap = sim::Sec(1);
+    config.client_timing.org_retry_budget = 2;
+    config.client_timing.breaker_threshold = 8;
+    config.client_timing.breaker_cooldown = sim::Ms(500);
   }
   return config;
 }

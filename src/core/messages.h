@@ -17,7 +17,6 @@ struct ProposalMsg final : sim::Message {
   /// part of the signed proposal — transport metadata that lets an
   /// overloaded organization shed work its client has already given up on.
   sim::SimTime deadline = 0;
-  std::string_view TypeName() const override { return "Proposal"; }
   std::size_t WireSize() const override { return proposal.WireSize() + 48; }
 };
 
@@ -30,7 +29,6 @@ struct EndorseReplyMsg final : sim::Message {
   Endorsement endorsement;
   crdt::Value read_value;  // read API result for read-only proposals
 
-  std::string_view TypeName() const override { return "EndorseReply"; }
   std::size_t WireSize() const override {
     if (cached_size_ == 0) {
       codec::Writer w;
@@ -47,14 +45,12 @@ struct EndorseReplyMsg final : sim::Message {
 /// Step 3: client → organizations.
 struct CommitMsg final : sim::Message {
   std::shared_ptr<const Transaction> tx;
-  std::string_view TypeName() const override { return "Commit"; }
   std::size_t WireSize() const override { return tx->WireSize() + 16; }
 };
 
 /// Step 4: organization → client (receipt or rejection).
 struct CommitReplyMsg final : sim::Message {
   Receipt receipt;
-  std::string_view TypeName() const override { return "CommitReply"; }
   std::size_t WireSize() const override { return 144; }
 };
 
@@ -65,7 +61,6 @@ struct BusyMsg final : sim::Message {
   crypto::Digest ref;          // proposal digest (phase 1) or tx id (phase 2)
   bool endorse_phase = true;
   sim::SimTime retry_after = 0;
-  std::string_view TypeName() const override { return "Busy"; }
   std::size_t WireSize() const override { return 64; }
 };
 
@@ -76,7 +71,6 @@ struct BusyMsg final : sim::Message {
 struct SummaryMsg final : sim::Message {
   std::uint64_t tx_count = 0;
   std::uint64_t tx_xor = 0;  // XOR of committed tx-id prefixes
-  std::string_view TypeName() const override { return "Summary"; }
   std::size_t WireSize() const override { return 64; }
 };
 
@@ -90,7 +84,6 @@ struct SyncRequestMsg final : sim::Message {
   /// none); lets the responder skip re-shipping a snapshot the requester
   /// has.
   crypto::Digest have_ckpt;
-  std::string_view TypeName() const override { return "SyncRequest"; }
   std::size_t WireSize() const override { return 80; }
 };
 
@@ -103,7 +96,6 @@ struct SyncRequestMsg final : sim::Message {
 struct CheckpointMsg final : sim::Message {
   std::shared_ptr<const Checkpoint> ckpt;
   AttestationSet attestations;
-  std::string_view TypeName() const override { return "Checkpoint"; }
   std::size_t WireSize() const override {
     return 16 + ckpt->WireSizeBytes() + attestations.WireSizeBytes();
   }
@@ -115,7 +107,6 @@ struct CheckpointMsg final : sim::Message {
 /// own converged CRDT state replies with a CheckpointAttestMsg.
 struct CheckpointAnnounceMsg final : sim::Message {
   std::shared_ptr<const Checkpoint> ckpt;
-  std::string_view TypeName() const override { return "CheckpointAnnounce"; }
   std::size_t WireSize() const override { return 16 + ckpt->WireSizeBytes(); }
 };
 
@@ -124,7 +115,6 @@ struct CheckpointAnnounceMsg final : sim::Message {
 struct CheckpointAttestMsg final : sim::Message {
   crypto::Digest ckpt_digest;
   CheckpointAttestation attestation;
-  std::string_view TypeName() const override { return "CheckpointAttest"; }
   std::size_t WireSize() const override { return 16 + 32 + 40; }
 };
 
@@ -136,21 +126,18 @@ struct CheckpointAttestMsg final : sim::Message {
 /// full-transaction push could not achieve at WAN bandwidth).
 struct GossipAdvertMsg final : sim::Message {
   std::vector<crypto::Digest> ids;
-  std::string_view TypeName() const override { return "GossipAdvert"; }
   std::size_t WireSize() const override { return 32 + ids.size() * 36; }
 };
 
 /// Step 5b: request for the advertised transactions a peer does not have.
 struct GossipPullMsg final : sim::Message {
   std::vector<crypto::Digest> ids;
-  std::string_view TypeName() const override { return "GossipPull"; }
   std::size_t WireSize() const override { return 32 + ids.size() * 36; }
 };
 
 /// Step 5c: organization → organization (also used for anti-entropy syncs).
 struct GossipMsg final : sim::Message {
   std::vector<std::shared_ptr<const Transaction>> txs;
-  std::string_view TypeName() const override { return "Gossip"; }
   std::size_t WireSize() const override {
     std::size_t size = 32;
     for (const auto& tx : txs) size += tx->WireSize();

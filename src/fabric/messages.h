@@ -24,7 +24,6 @@ struct FabProposal {
 
 struct FabProposalMsg final : sim::Message {
   FabProposal proposal;
-  std::string_view TypeName() const override { return "FabProposal"; }
   std::size_t WireSize() const override { return proposal.WireSize() + 48; }
 };
 
@@ -37,7 +36,6 @@ struct FabEndorseReplyMsg final : sim::Message {
   crypto::Signature signature;  // over (proposal digest ‖ rwset digest)
   crdt::Value read_value;
 
-  std::string_view TypeName() const override { return "FabEndorseReply"; }
   std::size_t WireSize() const override { return 96 + rwset.WireSize(); }
 };
 
@@ -55,7 +53,6 @@ struct FabTransaction {
 
 struct FabOrderMsg final : sim::Message {
   std::shared_ptr<const FabTransaction> tx;
-  std::string_view TypeName() const override { return "FabOrder"; }
   std::size_t WireSize() const override { return tx->WireSize() + 16; }
 };
 
@@ -71,7 +68,6 @@ struct FabBlock {
 
 struct FabBlockMsg final : sim::Message {
   std::shared_ptr<const FabBlock> block;
-  std::string_view TypeName() const override { return "FabBlock"; }
   std::size_t WireSize() const override { return block->WireSize(); }
 };
 
@@ -79,7 +75,6 @@ struct FabBlockMsg final : sim::Message {
 struct FabCommitEventMsg final : sim::Message {
   crypto::Digest tx_id;
   bool valid = false;
-  std::string_view TypeName() const override { return "FabCommitEvent"; }
   std::size_t WireSize() const override { return 80; }
 };
 

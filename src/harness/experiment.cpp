@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "bidl/net.h"
 #include "contracts/auction.h"
 #include "contracts/synthetic.h"
 #include "contracts/voting.h"
@@ -15,7 +14,8 @@
 #include "crypto/sha256.h"
 #include "harness/orderless_net.h"
 #include "obs/prof.h"
-#include "synchotstuff/net.h"
+#include "ordered/bidl.h"
+#include "ordered/synchotstuff.h"
 
 namespace orderless::harness {
 
@@ -146,7 +146,38 @@ class Driver {
   }
 };
 
-class OrderlessDriver final : public Driver {
+/// The submit path every system shares: each net exposes its simulation and
+/// clients whose SubmitRead/SubmitModify take the same arguments.
+template <typename Net>
+class NetDriver : public Driver {
+ public:
+  sim::Simulation& simulation() override { return net_->simulation(); }
+  std::size_t client_count() const override { return net_->client_count(); }
+
+  void Submit(std::size_t client, bool read, const AppCall& call,
+              core::TxCallback callback) override {
+    if (read) {
+      net_->client(client).SubmitRead(call.contract, call.function, call.args,
+                                      std::move(callback));
+    } else {
+      net_->client(client).SubmitModify(call.contract, call.function,
+                                        call.args, std::move(callback));
+    }
+  }
+
+ protected:
+  std::unique_ptr<Net> net_;
+};
+
+/// The Fabric-style voting and auction contracts that Fabric, BIDL and Sync
+/// HotStuff run.
+template <typename Net>
+void RegisterFabricApps(Net& net) {
+  net.RegisterContract(std::make_shared<fabric::FabricVotingContract>());
+  net.RegisterContract(std::make_shared<fabric::FabricAuctionContract>());
+}
+
+class OrderlessDriver final : public NetDriver<OrderlessNet> {
  public:
   OrderlessDriver(const ExperimentConfig& config) {
     OrderlessNetConfig net;
@@ -154,37 +185,16 @@ class OrderlessDriver final : public Driver {
     net.num_clients = config.workload.num_clients;
     net.policy = config.policy;
     net.seed = config.seed;
-    net.org_timing.gossip_fanout = config.gossip_fanout;
-    net.org_timing.gossip_interval = config.gossip_interval;
+    net.org_timing = config.org_timing;
+    net.client_timing = config.client_timing;
     // Large simulations: bound memory, keep only what the metrics need.
     net.org_timing.ledger_options.persist_ops = false;
     net.org_timing.ledger_options.rolling_log = true;
     net.org_timing.ledger_options.track_tx_keys = false;
-    net.client_timing.avoid_byzantine = config.client_avoidance;
-    net.client_timing.max_attempts = config.client_max_attempts;
-    net.org_timing.checkpoint.interval = config.checkpoint_interval;
     // Checkpoints ride the anti-entropy summary/sync path.
-    if (config.checkpoint_interval > 0) {
+    if (net.org_timing.checkpoint.interval > 0) {
       net.org_timing.antientropy_interval = sim::Ms(500);
     }
-    net.org_timing.overload = config.overload;
-    if (config.org_endorse_base > 0) {
-      net.org_timing.endorse_base = config.org_endorse_base;
-    }
-    if (config.org_commit_base > 0) {
-      net.org_timing.commit_base = config.org_commit_base;
-    }
-    if (config.client_endorse_timeout > 0) {
-      net.client_timing.endorse_timeout = config.client_endorse_timeout;
-    }
-    if (config.client_commit_timeout > 0) {
-      net.client_timing.commit_timeout = config.client_commit_timeout;
-    }
-    net.client_timing.backoff_base = config.client_backoff_base;
-    net.client_timing.backoff_cap = config.client_backoff_cap;
-    net.client_timing.org_retry_budget = config.client_org_retry_budget;
-    net.client_timing.breaker_threshold = config.client_breaker_threshold;
-    net.client_timing.breaker_cooldown = config.client_breaker_cooldown;
     net.tracer = config.tracer;
     net.profiler = config.profiler;
     net.threads = config.threads;
@@ -219,20 +229,6 @@ class OrderlessDriver final : public Driver {
     }
   }
 
-  sim::Simulation& simulation() override { return net_->simulation(); }
-  std::size_t client_count() const override { return net_->client_count(); }
-
-  void Submit(std::size_t client, bool read, const AppCall& call,
-              core::TxCallback callback) override {
-    if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
-                                      std::move(callback));
-    } else {
-      net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
-    }
-  }
-
   void SetByzantineOrgs(std::uint32_t count,
                         const core::ByzantineOrgBehavior& behavior) override {
     for (std::size_t i = 0; i < net_->org_count(); ++i) {
@@ -246,8 +242,7 @@ class OrderlessDriver final : public Driver {
     double endorse = 0, commit = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net_->org_count(); ++i) {
-      const auto& s =
-          const_cast<OrderlessNet&>(*net_).org(i).phase_stats();
+      const auto& s = net_->org(i).phase_stats();
       if (s.endorse_count > 0 || s.commit_count > 0) {
         endorse += s.AvgEndorseMs();
         commit += s.AvgCommitMs();
@@ -267,7 +262,7 @@ class OrderlessDriver final : public Driver {
 
   RobustnessStats Robustness() const override {
     RobustnessStats r;
-    auto& net = const_cast<OrderlessNet&>(*net_);
+    auto& net = *net_;
     for (std::size_t i = 0; i < net.org_count(); ++i) {
       const auto& s = net.org(i).phase_stats();
       r.shed_endorse += s.shed_endorse;
@@ -301,12 +296,10 @@ class OrderlessDriver final : public Driver {
     }
     return r;
   }
-
- private:
-  std::unique_ptr<OrderlessNet> net_;
 };
 
-class FabricDriver final : public Driver {
+
+class FabricDriver final : public NetDriver<fabric::FabricNet> {
  public:
   FabricDriver(const ExperimentConfig& config, bool crdt_mode) {
     fabric::FabricNetConfig net;
@@ -324,30 +317,13 @@ class FabricDriver final : public Driver {
       net_->RegisterContract(
           std::make_shared<fabriccrdt::FabricCrdtAuctionContract>());
     } else {
-      net_->RegisterContract(
-          std::make_shared<fabric::FabricVotingContract>());
-      net_->RegisterContract(
-          std::make_shared<fabric::FabricAuctionContract>());
+      RegisterFabricApps(*net_);
     }
     net_->Start();
   }
 
-  sim::Simulation& simulation() override { return net_->simulation(); }
-  std::size_t client_count() const override { return net_->client_count(); }
-
-  void Submit(std::size_t client, bool read, const AppCall& call,
-              core::TxCallback callback) override {
-    if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
-                                      std::move(callback));
-    } else {
-      net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
-    }
-  }
-
   PhaseBreakdown Breakdown() const override {
-    auto& net = const_cast<fabric::FabricNet&>(*net_);
+    auto& net = *net_;
     double endorse = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net.peer_count(); ++i) {
@@ -362,40 +338,22 @@ class FabricDriver final : public Driver {
                 {"P3/Commit", 0.5}};
     return b;
   }
-
- private:
-  std::unique_ptr<fabric::FabricNet> net_;
 };
 
-class BidlDriver final : public Driver {
+class BidlDriver final : public NetDriver<ordered::BidlNet> {
  public:
   BidlDriver(const ExperimentConfig& config) {
-    bidl::BidlNetConfig net;
+    ordered::BidlNetConfig net;
     net.num_orgs = config.num_orgs;
     net.num_clients = config.workload.num_clients;
     net.seed = config.seed;
-    net_ = std::make_unique<bidl::BidlNet>(net);
-    net_->RegisterContract(std::make_shared<fabric::FabricVotingContract>());
-    net_->RegisterContract(std::make_shared<fabric::FabricAuctionContract>());
+    net_ = std::make_unique<ordered::BidlNet>(net);
+    RegisterFabricApps(*net_);
     net_->Start();
   }
 
-  sim::Simulation& simulation() override { return net_->simulation(); }
-  std::size_t client_count() const override { return net_->client_count(); }
-
-  void Submit(std::size_t client, bool read, const AppCall& call,
-              core::TxCallback callback) override {
-    if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
-                                      std::move(callback));
-    } else {
-      net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
-    }
-  }
-
   PhaseBreakdown Breakdown() const override {
-    auto& net = const_cast<bidl::BidlNet&>(*net_);
+    auto& net = *net_;
     double sequence = 0, consensus = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net.org_count(); ++i) {
@@ -414,40 +372,22 @@ class BidlDriver final : public Driver {
     }
     return b;
   }
-
- private:
-  std::unique_ptr<bidl::BidlNet> net_;
 };
 
-class HsDriver final : public Driver {
+class HsDriver final : public NetDriver<ordered::HsNet> {
  public:
   HsDriver(const ExperimentConfig& config) {
-    synchotstuff::HsNetConfig net;
+    ordered::HsNetConfig net;
     net.num_orgs = config.num_orgs;
     net.num_clients = config.workload.num_clients;
     net.seed = config.seed;
-    net_ = std::make_unique<synchotstuff::HsNet>(net);
-    net_->RegisterContract(std::make_shared<fabric::FabricVotingContract>());
-    net_->RegisterContract(std::make_shared<fabric::FabricAuctionContract>());
+    net_ = std::make_unique<ordered::HsNet>(net);
+    RegisterFabricApps(*net_);
     net_->Start();
   }
 
-  sim::Simulation& simulation() override { return net_->simulation(); }
-  std::size_t client_count() const override { return net_->client_count(); }
-
-  void Submit(std::size_t client, bool read, const AppCall& call,
-              core::TxCallback callback) override {
-    if (read) {
-      net_->client(client).SubmitRead(call.contract, call.function, call.args,
-                                      std::move(callback));
-    } else {
-      net_->client(client).SubmitModify(call.contract, call.function,
-                                        call.args, std::move(callback));
-    }
-  }
-
   PhaseBreakdown Breakdown() const override {
-    auto& net = const_cast<synchotstuff::HsNet&>(*net_);
+    auto& net = *net_;
     double consensus = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net.org_count(); ++i) {
@@ -462,9 +402,6 @@ class HsDriver final : public Driver {
     }
     return b;
   }
-
- private:
-  std::unique_ptr<synchotstuff::HsNet> net_;
 };
 
 std::unique_ptr<Driver> MakeDriver(const ExperimentConfig& config) {

@@ -63,39 +63,22 @@ struct ExperimentConfig {
   WorkloadConfig workload;
   std::uint64_t seed = 1;
 
-  // OrderlessChain knobs (control variables 8-9).
-  std::uint32_t gossip_fanout = 1;
-  sim::SimTime gossip_interval = sim::Sec(1);
+  // OrderlessChain organization and client settings (gossip fanout is
+  // control variable 9), copied whole into the network. Two fields are then
+  // overridden: `ledger_options` keeps only what the metrics need, and a
+  // `checkpoint.interval` above 0 (signed, quorum-attested CRDT
+  // checkpoints; DESIGN.md §12–13) sets anti-entropy to every 500 ms,
+  // since checkpoints ride the summary/sync path.
+  core::OrgTimingConfig org_timing;
+  core::ClientTimingConfig client_timing;
+  /// Normal-distribution workload per organization (control variable 8).
   bool normal_org_load = false;
-  /// Signed, quorum-attested CRDT checkpoints + O(delta) catch-up
-  /// (OrderlessChain only; DESIGN.md §12–13). 0 = disabled (seed
-  /// behaviour). Enabling also turns on anti-entropy every 500 ms
-  /// (checkpoints ride the summary/sync path).
-  sim::SimTime checkpoint_interval = 0;
 
   // Byzantine configuration (control variables 10-12, Fig. 8).
   std::vector<ByzantinePhase> byzantine_phases;
   core::ByzantineOrgBehavior byzantine_org_behavior;
   double byzantine_client_fraction = 0.0;
   core::ByzantineClientBehavior byzantine_client_behavior;
-  bool client_avoidance = false;
-  std::uint32_t client_max_attempts = 1;
-
-  // Overload protection (off by default: seed behaviour). Organization-side
-  // admission control plus the client retry policy that pairs with it.
-  core::OverloadConfig overload;
-  // Optional service-time overrides (0 = keep OrgTimingConfig defaults);
-  // the overload bench uses these to place the saturation knee at a scale
-  // the reproduction can sweep past.
-  sim::SimTime org_endorse_base = 0;
-  sim::SimTime org_commit_base = 0;
-  sim::SimTime client_endorse_timeout = 0;
-  sim::SimTime client_commit_timeout = 0;
-  sim::SimTime client_backoff_base = 0;
-  sim::SimTime client_backoff_cap = sim::Sec(8);
-  std::uint32_t client_org_retry_budget = 0;
-  std::uint32_t client_breaker_threshold = 0;
-  sim::SimTime client_breaker_cooldown = sim::Sec(10);
 
   /// Optional observability hook (not owned; OrderlessChain only). Wired
   /// into the simulated network when set; null = tracing disabled.

@@ -9,8 +9,9 @@
 //   }
 //
 // Kept dependency-free (fprintf, no JSON library) and append-order
-// preserving, so diffs between runs stay line-stable. (Consolidates the
-// former bench/bench_json.h and bench/micro_json.h emission schema.)
+// preserving, so diffs between runs stay line-stable. (Replaces the former
+// bench/bench_json.h; bench/micro_json.h remains as the google-benchmark
+// reporter that emits through this writer.)
 #pragma once
 
 #include <cstdint>

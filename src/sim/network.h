@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +34,6 @@ namespace orderless::sim {
 class Message {
  public:
   virtual ~Message() = default;
-  virtual std::string_view TypeName() const = 0;
   virtual std::size_t WireSize() const = 0;
 };
 

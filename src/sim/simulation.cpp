@@ -64,7 +64,7 @@ Simulation::~Simulation() {
 
 void Simulation::SetThreads(unsigned threads) {
   // Must precede the first scheduled event: storage layout is latched there.
-  threads_ = threads == 0 ? 1 : threads;
+  threads_ = std::clamp(threads, 1u, kMaxThreads);
 }
 
 ActorId Simulation::RegisterActor(NodeId node) {

@@ -44,6 +44,9 @@ namespace orderless::sim {
 /// Identifies a simulated endpoint (organization, client, injector...).
 using NodeId = std::uint32_t;
 
+/// Most worker threads one simulation runs; the CLIs reject more.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Index of an actor lane; 0 is the harness lane every un-tagged event and
 /// unregistered node maps to.
 using ActorId = std::uint32_t;
@@ -220,8 +223,9 @@ class Simulation {
   // first event is scheduled: the engine latches sequential vs parallel
   // storage at that point and never migrates events between layouts. ---
 
-  /// Worker count; 1 (default) = the sequential engine, bit-identical
-  /// behaviour and data layout to the pre-parallel code.
+  /// Worker count, clamped to 1..kMaxThreads; 1 (default) = the sequential
+  /// engine, bit-identical behaviour and data layout to the pre-parallel
+  /// code. The engine starts threads - 1 OS threads at the first run.
   void SetThreads(unsigned threads);
   unsigned threads() const { return threads_; }
 

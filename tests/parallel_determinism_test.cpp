@@ -145,7 +145,7 @@ ExperimentArtifacts RunTracedExperiment(unsigned threads,
   config.seed = 11;
   config.tracer = &tracer;
   config.threads = threads;
-  if (checkpoints) config.checkpoint_interval = sim::Ms(400);
+  if (checkpoints) config.org_timing.checkpoint.interval = sim::Ms(400);
 
   const harness::ExperimentResult result = harness::RunExperiment(config);
 

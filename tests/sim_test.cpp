@@ -9,7 +9,6 @@ namespace {
 
 struct TestMsg final : Message {
   explicit TestMsg(std::size_t size = 100) : size_(size) {}
-  std::string_view TypeName() const override { return "Test"; }
   std::size_t WireSize() const override { return size_; }
   std::size_t size_;
 };

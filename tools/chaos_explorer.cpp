@@ -39,10 +39,12 @@
 #include "chaos/minimize.h"
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
+#include "cli.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "sim/simulation.h"
 
 namespace {
 
@@ -351,20 +353,13 @@ int main(int argc, char** argv) {
   std::uint64_t preset_seed = 1;
   std::uint64_t unsafe_seed = 1;
   std::uint64_t byzantine_seeds = 0;
-  std::uint64_t preset_txs = 0;
-  std::uint64_t threads = 1;
+  std::uint32_t preset_txs = 0;
+  unsigned threads = 1;
   std::string trace_path, trace_filter, metrics_path, minimized_out;
   std::string report_mode_name, report_json_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_u64 = [&](std::uint64_t& out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      out = std::strtoull(argv[++i], nullptr, 10);
-    };
     auto next_str = [&](std::string& out) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", arg.c_str());
@@ -372,10 +367,19 @@ int main(int argc, char** argv) {
       }
       out = argv[++i];
     };
+    auto next_uint = [&](auto& out) {
+      std::string value;
+      next_str(value);
+      if (!orderless::cli::ParseUint(value.c_str(), out)) {
+        std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(),
+                     value.c_str());
+        std::exit(2);
+      }
+    };
     if (arg == "--seeds") {
-      next_u64(sweep);
+      next_uint(sweep);
     } else if (arg == "--seed") {
-      next_u64(seed);
+      next_uint(seed);
       have_seed = true;
     } else if (arg == "--replay-check") {
       replay_check = true;
@@ -384,15 +388,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--unsafe-demo") {
       unsafe_demo = true;
     } else if (arg == "--unsafe-seed") {
-      next_u64(unsafe_seed);
+      next_uint(unsafe_seed);
     } else if (arg == "--preset") {
       next_str(preset);
     } else if (arg == "--preset-seed") {
-      next_u64(preset_seed);
+      next_uint(preset_seed);
     } else if (arg == "--preset-txs") {
-      next_u64(preset_txs);
+      next_uint(preset_txs);
     } else if (arg == "--byzantine-seeds") {
-      next_u64(byzantine_seeds);
+      next_uint(byzantine_seeds);
     } else if (arg == "--minimized-out") {
       next_str(minimized_out);
     } else if (arg == "--report") {
@@ -402,7 +406,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--threads") {
-      next_u64(threads);
+      next_uint(threads);
     } else if (arg == "--trace") {
       next_str(trace_path);
     } else if (arg == "--trace-filter") {
@@ -423,6 +427,12 @@ int main(int argc, char** argv) {
           "[--report summary|timelines|full] [--report-json PATH]\n");
       return 2;
     }
+  }
+
+  if (threads == 0 || threads > orderless::sim::kMaxThreads) {
+    std::fprintf(stderr, "--threads must be in 1..%u\n",
+                 orderless::sim::kMaxThreads);
+    return 2;
   }
 
   // --report implies tracing: the report is reconstructed from the trace
@@ -447,28 +457,26 @@ int main(int argc, char** argv) {
   obs::Tracer tracer(tracer_config);
   obs::Tracer* tracer_ptr = tracing ? &tracer : nullptr;
 
-  const unsigned worker_threads =
-      static_cast<unsigned>(threads == 0 ? 1 : threads);
   auto with_txs = [&](Scenario s) {
-    if (preset_txs > 0) s.tx_count = static_cast<std::uint32_t>(preset_txs);
+    if (preset_txs > 0) s.tx_count = preset_txs;
     return s;
   };
   int rc;
   if (unsafe_demo) {
-    rc = RunUnsafeDemo(unsafe_seed, tracer_ptr, worker_threads);
+    rc = RunUnsafeDemo(unsafe_seed, tracer_ptr, threads);
   } else if (!preset.empty()) {
     if (preset == "long-partition") {
       rc = RunPreset(with_txs(orderless::chaos::MakeLongPartitionScenario(preset_seed)),
                      "long-partition", replay_check, tracer_ptr,
-                     worker_threads);
+                     threads);
     } else if (preset == "crash-restart") {
       rc = RunPreset(with_txs(orderless::chaos::MakeCrashRestartScenario(preset_seed)),
                      "crash-restart", replay_check, tracer_ptr,
-                     worker_threads);
+                     threads);
     } else if (preset == "byzantine-catchup") {
       rc = RunPreset(
           with_txs(orderless::chaos::MakeByzantineCatchupScenario(preset_seed)),
-          "byzantine-catchup", replay_check, tracer_ptr, worker_threads);
+          "byzantine-catchup", replay_check, tracer_ptr, threads);
     } else {
       std::fprintf(stderr, "unknown preset: %s\navailable presets:\n",
                    preset.c_str());
@@ -479,12 +487,12 @@ int main(int argc, char** argv) {
     }
   } else if (byzantine_seeds > 0) {
     rc = RunByzantineSweep(byzantine_seeds, minimize, tracer_ptr,
-                           worker_threads, minimized_out);
+                           threads, minimized_out);
   } else if (have_seed) {
     rc = RunOne(seed, replay_check, minimize, verbose, tracer_ptr,
-                worker_threads);
+                threads);
   } else if (sweep > 0) {
-    rc = RunSweep(sweep, minimize, tracer_ptr, worker_threads, minimized_out);
+    rc = RunSweep(sweep, minimize, tracer_ptr, threads, minimized_out);
   } else {
     std::fprintf(stderr, "nothing to do: pass --seeds, --seed, "
                          "--byzantine-seeds, --preset or --unsafe-demo\n");

@@ -7,16 +7,15 @@
 //                  [--crdt g-counter] [--byz-orgs 3] [--avoidance]
 //                  [--trace out.trace.json] [--trace-jsonl out.jsonl]
 //                  [--trace-filter kinds] [--metrics-json out.json]
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
 
+#include "cli.h"
 #include "contracts/synthetic.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
@@ -26,6 +25,7 @@
 #include "obs/trace.h"
 
 using namespace orderless;
+using orderless::cli::ParseUint;
 
 namespace {
 
@@ -46,8 +46,8 @@ void Usage() {
       "                       catch-up every N ms; a checkpoint installs\n"
       "                       only with q-of-n attestations (orderless\n"
       "                       only; 0 = off)\n"
-      "  --threads N          simulation worker threads (orderless only;\n"
-      "                       results are bit-identical at any N)\n"
+      "  --threads N          simulation worker threads, 1..%u (orderless\n"
+      "                       only; results are bit-identical at any N)\n"
       "  --prof               host-side engine profile (lane utilization,\n"
       "                       barrier wait, signature-verify counters;\n"
       "                       orderless only, simulated results unchanged)\n"
@@ -55,7 +55,8 @@ void Usage() {
       "  --trace-jsonl PATH   write one JSON object per trace event\n"
       "  --trace-filter K,K   only record the named event kinds\n"
       "  --metrics-json PATH  write the metrics registry as JSON\n"
-      "  (tracing covers the orderless system only)\n");
+      "  (tracing covers the orderless system only)\n",
+      sim::kMaxThreads);
 }
 
 bool ParseSystem(const std::string& s, harness::SystemKind& out) {
@@ -73,21 +74,6 @@ bool ParseApp(const std::string& s, harness::AppKind& out) {
   else if (s == "voting") out = harness::AppKind::kVoting;
   else if (s == "auction") out = harness::AppKind::kAuction;
   else return false;
-  return true;
-}
-
-/// A decimal integer that fills all of `s` and fits `T`; no sign.
-template <typename T>
-bool ParseUint(const char* s, T& out) {
-  if (*s < '0' || *s > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (*end != '\0' || errno != 0 ||
-      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
-    return false;
-  }
-  out = static_cast<T>(v);
   return true;
 }
 
@@ -160,12 +146,12 @@ int main(int argc, char** argv) {
          config.byzantine_client_behavior.tamper_writeset = true;
          return true;
        }},
-      {"--gossip-fanout", count(config.gossip_fanout)},
+      {"--gossip-fanout", count(config.org_timing.gossip_fanout)},
       {"--checkpoint-interval-ms",
        [&](const char* v) {
          std::uint32_t checkpoint_ms = 0;
          if (!ParseUint(v, checkpoint_ms)) return false;
-         config.checkpoint_interval = sim::Ms(checkpoint_ms);
+         config.org_timing.checkpoint.interval = sim::Ms(checkpoint_ms);
          return true;
        }},
       {"--threads", count(config.threads)},
@@ -181,8 +167,8 @@ int main(int argc, char** argv) {
       Usage();
       return 0;
     } else if (arg == "--avoidance") {
-      config.client_avoidance = true;
-      config.client_max_attempts = 3;
+      config.client_timing.avoid_byzantine = true;
+      config.client_timing.max_attempts = 3;
     } else if (arg == "--prof") {
       profiling = true;
     } else if (const auto it = value_options.find(arg);
@@ -211,6 +197,8 @@ int main(int argc, char** argv) {
   const bool known_crdt = w.crdt_type == contracts::kTypeGCounter ||
                           w.crdt_type == contracts::kTypeMVRegister ||
                           w.crdt_type == contracts::kTypeMap;
+  const std::string threads_rule =
+      "--threads must be in 1.." + std::to_string(sim::kMaxThreads);
   const std::pair<bool, const char*> rules[] = {
       {config.num_orgs == 0, "--orgs must be at least 1"},
       {w.num_clients == 0, "--clients must be at least 1"},
@@ -223,6 +211,8 @@ int main(int argc, char** argv) {
       {w.obj_count == 0, "--objs must be at least 1"},
       {w.ops_per_obj == 0, "--ops must be at least 1"},
       {!known_crdt, "--crdt must be g-counter, mv-register or map"},
+      {config.threads == 0 || config.threads > sim::kMaxThreads,
+       threads_rule.c_str()},
   };
   for (const auto& [broken, rule] : rules) {
     if (broken) {
