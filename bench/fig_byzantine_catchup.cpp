@@ -109,8 +109,10 @@ int main() {
     for (const bool checkpoints : {true, false}) {
       const TimedRun& run = checkpoints ? with : without;
       const core::CatchupStats& cu = checkpoints ? on : off;
+      const core::CatchupStats& total = run.result.robustness.catchup;
       json.Point(std::string("byzantine_catchup") +
-                 (checkpoints ? "_attested" : "_baseline"));
+                 (checkpoints ? "_attested_" : "_baseline_") +
+                 std::to_string(txs));
       json.Field("tx_count", static_cast<std::uint64_t>(txs));
       json.Field("checkpoints", std::string(checkpoints ? "on" : "off"));
       json.Field("wall_ms", run.wall_ms, 2);
@@ -118,17 +120,17 @@ int main() {
       json.Field("sync_txs_received", cu.sync_txs_received);
       json.Field("ckpt_installed", cu.ckpt_installed);
       json.Field("ckpt_txs_covered", cu.ckpt_txs_covered);
-      json.Field("ckpt_rejected_total", run.result.ckpt_rejected_total);
-      json.Field("ckpt_refused_total", run.result.ckpt_refused_total);
-      json.Field("ckpt_attested_total", run.result.ckpt_attested_total);
+      json.Field("ckpt_rejected_total", total.ckpt_rejected);
+      json.Field("ckpt_refused_total", total.ckpt_refused);
+      json.Field("ckpt_attested_total", total.ckpt_attested);
       json.Field("honest_pushback", honest_pushback);
       table.AddRow({std::to_string(txs), checkpoints ? "on" : "off",
                     TablePrinter::Num(run.wall_ms, 1),
                     std::to_string(cu.sync_txs_received),
                     std::to_string(cu.ckpt_txs_covered),
-                    std::to_string(run.result.ckpt_rejected_total),
-                    std::to_string(run.result.ckpt_refused_total),
-                    std::to_string(run.result.ckpt_attested_total)});
+                    std::to_string(total.ckpt_rejected),
+                    std::to_string(total.ckpt_refused),
+                    std::to_string(total.ckpt_attested)});
     }
   }
   table.Print();

@@ -102,8 +102,10 @@ int main() {
       for (const bool checkpoints : {true, false}) {
         const TimedRun& run = checkpoints ? with : without;
         const core::CatchupStats& cu = checkpoints ? on : off;
+        const core::CatchupStats& total = run.result.robustness.catchup;
         json.Point(std::string(preset.name) +
-                   (checkpoints ? "_ckpt" : "_baseline"));
+                   (checkpoints ? "_ckpt_" : "_baseline_") +
+                   std::to_string(txs));
         json.Field("tx_count", static_cast<std::uint64_t>(txs));
         json.Field("checkpoints", std::string(checkpoints ? "on" : "off"));
         json.Field("wall_ms", run.wall_ms, 2);
@@ -113,14 +115,14 @@ int main() {
         json.Field("ckpt_installed", cu.ckpt_installed);
         json.Field("ckpt_txs_covered", cu.ckpt_txs_covered);
         json.Field("recovered_records", cu.recovered_records);
-        json.Field("pruned_records_total", run.result.pruned_records_total);
+        json.Field("pruned_records_total", total.pruned_records);
         table.AddRow({preset.name, std::to_string(txs),
                       checkpoints ? "on" : "off",
                       TablePrinter::Num(run.wall_ms, 1),
                       std::to_string(cu.sync_txs_received),
                       std::to_string(cu.ckpt_txs_covered),
                       std::to_string(cu.recovered_records),
-                      std::to_string(run.result.pruned_records_total)});
+                      std::to_string(total.pruned_records)});
       }
     }
   }

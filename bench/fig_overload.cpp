@@ -103,10 +103,10 @@ void WriteJson(const std::vector<Point>& points) {
     json.Field("goodput_tps", p.goodput_tps, 1);
     json.Field("p99_ms", p.p99_ms, 2);
     json.Field("failed_fraction", p.failed_fraction, 4);
-    json.Field("shed", p.robustness.TotalShed());
-    json.Field("busy_sent", p.robustness.busy_sent);
-    json.Field("retries", p.robustness.client_retries);
-    json.Field("breaker_opens", p.robustness.breaker_opens);
+    json.Field("shed", p.robustness.overload.TotalShed());
+    json.Field("busy_sent", p.robustness.overload.busy_sent);
+    json.Field("retries", p.robustness.retry.retries);
+    json.Field("breaker_opens", p.robustness.retry.breaker_opens);
   }
   json.Write();
 }
@@ -134,11 +134,11 @@ int main() {
                     TablePrinter::Num(p.p99_ms),
                     TablePrinter::Num(100 * p.failed_fraction, 1),
                     TablePrinter::Num(
-                        static_cast<double>(p.robustness.TotalShed()), 0),
+                        static_cast<double>(p.robustness.overload.TotalShed()), 0),
                     TablePrinter::Num(
-                        static_cast<double>(p.robustness.busy_sent), 0),
+                        static_cast<double>(p.robustness.overload.busy_sent), 0),
                     TablePrinter::Num(
-                        static_cast<double>(p.robustness.client_retries), 0)});
+                        static_cast<double>(p.robustness.retry.retries), 0)});
     }
   }
   table.Print();

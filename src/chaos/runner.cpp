@@ -383,20 +383,9 @@ ChaosRunResult RunScenario(const Scenario& scenario,
   result.bytes_sent = net.network().bytes_sent();
   result.events_processed = net.simulation().events_processed();
   result.violations = checker.violations();
+  result.robustness = net.Robustness();
   for (std::size_t i = 0; i < net.org_count(); ++i) {
-    const auto& s = net.org(i).phase_stats();
-    result.shed_total +=
-        s.shed_endorse + s.shed_commit + s.shed_gossip + s.shed_deadline;
-    result.busy_sent += s.busy_sent;
-    const core::CatchupStats& cu = net.org(i).catchup_stats();
-    result.org_catchup.push_back(cu);
-    result.ckpt_sealed_total += cu.ckpt_sealed;
-    result.ckpt_installed_total += cu.ckpt_installed;
-    result.ckpt_rejected_total += cu.ckpt_rejected;
-    result.sync_txs_received_total += cu.sync_txs_received;
-    result.pruned_records_total += cu.pruned_records;
-    result.ckpt_attested_total += cu.ckpt_attested;
-    result.ckpt_refused_total += cu.ckpt_refused;
+    result.org_catchup.push_back(net.org(i).catchup_stats());
   }
 
   // Order-sensitive run fingerprint: chain heads hash the exact commit
@@ -411,8 +400,8 @@ ChaosRunResult RunScenario(const Scenario& scenario,
   w.PutU32(result.committed);
   w.PutU32(result.rejected);
   w.PutU32(result.failed);
-  w.PutU64(result.shed_total);
-  w.PutU64(result.busy_sent);
+  w.PutU64(result.robustness.overload.TotalShed());
+  w.PutU64(result.robustness.overload.busy_sent);
   for (std::size_t i = 0; i < net.org_count(); ++i) {
     const auto& ledger = net.org(i).ledger();
     w.PutU64(ledger.committed_valid());
@@ -424,40 +413,28 @@ ChaosRunResult RunScenario(const Scenario& scenario,
     // must seal, install, sync and prune identically (all-zero without
     // checkpoints, so old fingerprints keep their meaning within a binary).
     const core::CatchupStats& cu = result.org_catchup[i];
-    w.PutU64(cu.ckpt_sealed);
-    w.PutU64(cu.ckpt_sent);
-    w.PutU64(cu.ckpt_installed);
-    w.PutU64(cu.ckpt_rejected);
-    w.PutU64(cu.ckpt_txs_covered);
-    w.PutU64(cu.sync_txs_sent);
-    w.PutU64(cu.sync_txs_received);
-    w.PutU64(cu.pruned_records);
-    w.PutU64(cu.recovered_records);
-    // Attestation activity, all-zero without checkpoints (same rationale).
-    w.PutU64(cu.ckpt_announced);
-    w.PutU64(cu.ckpt_attest_sent);
-    w.PutU64(cu.ckpt_attest_received);
-    w.PutU64(cu.ckpt_attested);
-    w.PutU64(cu.ckpt_refused);
+    for (const auto& c : core::CatchupStats::kCounters) w.PutU64(cu.*c.member);
   }
   result.fingerprint = crypto::Sha256::Hash(BytesView(w.data())).Prefix64();
   return result;
 }
 
 std::string ChaosRunResult::Summary() const {
+  const core::OverloadStats& overload = robustness.overload;
+  const core::CatchupStats& catchup = robustness.catchup;
   std::ostringstream out;
   out << "seed=" << seed << " submitted=" << submitted
       << " committed=" << committed << " rejected=" << rejected
       << " failed=" << failed << " unresolved=" << unresolved
       << " commits_observed=" << commits_observed
-      << " shed=" << shed_total << " busy=" << busy_sent
-      << " ckpt_sealed=" << ckpt_sealed_total
-      << " ckpt_installed=" << ckpt_installed_total
-      << " ckpt_rejected=" << ckpt_rejected_total
-      << " ckpt_attested=" << ckpt_attested_total
-      << " ckpt_refused=" << ckpt_refused_total
-      << " sync_rx=" << sync_txs_received_total
-      << " pruned=" << pruned_records_total
+      << " shed=" << overload.TotalShed() << " busy=" << overload.busy_sent
+      << " ckpt_sealed=" << catchup.ckpt_sealed
+      << " ckpt_installed=" << catchup.ckpt_installed
+      << " ckpt_rejected=" << catchup.ckpt_rejected
+      << " ckpt_attested=" << catchup.ckpt_attested
+      << " ckpt_refused=" << catchup.ckpt_refused
+      << " sync_rx=" << catchup.sync_txs_received
+      << " pruned=" << catchup.pruned_records
       << " events=" << events_processed << " msgs=" << messages_sent
       << " fingerprint=" << std::hex << fingerprint << std::dec
       << " violations=" << violations.size();

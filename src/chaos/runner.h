@@ -23,8 +23,6 @@ struct ChaosRunResult {
   std::uint32_t failed = 0;
   std::uint32_t unresolved = 0;  // no outcome by end of quiescence
   std::uint64_t commits_observed = 0;
-  std::uint64_t shed_total = 0;  // admission-control sheds across all orgs
-  std::uint64_t busy_sent = 0;   // Busy backpressure replies across all orgs
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t events_processed = 0;
@@ -40,15 +38,9 @@ struct ChaosRunResult {
   /// when the scenario runs without checkpoints). The O(delta) assertions
   /// compare these across checkpoint-on and checkpoint-off replays.
   std::vector<core::CatchupStats> org_catchup;
-  std::uint64_t ckpt_sealed_total = 0;
-  std::uint64_t ckpt_installed_total = 0;
-  std::uint64_t ckpt_rejected_total = 0;
-  std::uint64_t sync_txs_received_total = 0;
-  std::uint64_t pruned_records_total = 0;
-  // Attestation activity (all zero when the scenario runs without
-  // checkpoints).
-  std::uint64_t ckpt_attested_total = 0;
-  std::uint64_t ckpt_refused_total = 0;
+  /// Overload, retry and catch-up counters summed over every organization
+  /// and client (catch-up all zero without checkpoints).
+  harness::RobustnessStats robustness;
   std::vector<Violation> violations;
 
   bool ok() const { return violations.empty(); }

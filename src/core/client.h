@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "core/messages.h"
 #include "sim/network.h"
@@ -56,7 +57,18 @@ struct ClientRetryStats {
   std::uint64_t breaker_opens = 0;      // closed/half-open -> open
   std::uint64_t breaker_closes = 0;     // open/half-open -> closed
   std::uint64_t half_open_probes = 0;   // probe requests to half-open orgs
+
+  /// Every counter once, with its metric name, in declaration order.
+  static constexpr NamedCounter<ClientRetryStats> kCounters[] = {
+      {"robustness.client_retries", &ClientRetryStats::retries},
+      {"robustness.busy_received", &ClientRetryStats::busy_received},
+      {"robustness.commit_resends", &ClientRetryStats::commit_resends},
+      {"robustness.breaker_opens", &ClientRetryStats::breaker_opens},
+      {"robustness.breaker_closes", &ClientRetryStats::breaker_closes},
+      {"robustness.half_open_probes", &ClientRetryStats::half_open_probes},
+  };
 };
+static_assert(ListsEveryCounter<ClientRetryStats>());
 
 /// Byzantine client faults (paper §8, four types).
 struct ByzantineClientBehavior {

@@ -251,7 +251,7 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     // repairs whatever the advert window misses.
     if (timing_.overload.enabled &&
         cpu_.Backlog() > timing_.overload.max_backlog_gossip) {
-      ++phase_stats_.shed_gossip;
+      ++overload_stats_.shed_gossip;
       return;
     }
     // Pull whatever we neither committed nor already have a pull in flight
@@ -441,7 +441,7 @@ void Organization::SendBusy(sim::NodeId to, const crypto::Digest& ref,
   busy->ref = ref;
   busy->endorse_phase = endorse_phase;
   busy->retry_after = std::min(cpu_.Backlog(), kMaxRetryAfter);
-  ++phase_stats_.busy_sent;
+  ++overload_stats_.busy_sent;
   network_.Send(node_, to, busy);
 }
 
@@ -467,11 +467,11 @@ void Organization::HandleProposal(sim::NodeId from,
       // By the time a core frees up and executes this, the client's
       // endorsement timer will have fired: shed instead of burning CPU on a
       // reply nobody is waiting for.
-      ++phase_stats_.shed_deadline;
+      ++overload_stats_.shed_deadline;
       return;
     }
     if (cpu_.Backlog() > timing_.overload.max_backlog_endorse) {
-      ++phase_stats_.shed_endorse;
+      ++overload_stats_.shed_endorse;
       SendBusy(from, proposal.Digest(), /*endorse_phase=*/true);
       return;
     }
@@ -584,11 +584,11 @@ void Organization::HandleCommit(sim::NodeId from,
     const sim::SimTime backlog = cpu_.Backlog();
     if (from_gossip) {
       if (backlog > timing_.overload.max_backlog_gossip) {
-        ++phase_stats_.shed_gossip;
+        ++overload_stats_.shed_gossip;
         return;
       }
     } else if (backlog > timing_.overload.max_backlog_commit) {
-      ++phase_stats_.shed_commit;
+      ++overload_stats_.shed_commit;
       SendBusy(from, tx->id, /*endorse_phase=*/false);
       return;
     }

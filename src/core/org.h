@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/flat_table.h"
 #include "common/rng.h"
 #include "core/contract.h"
@@ -102,7 +103,27 @@ struct CatchupStats {
   std::uint64_t ckpt_attested = 0;        // own seals promoted to quorum
   std::uint64_t ckpt_refused = 0;         // announces refused (claims did not
                                           // reproduce against local state)
+
+  /// Every counter once, with its metric name, in declaration order (the
+  /// order the chaos fingerprint folds them in).
+  static constexpr NamedCounter<CatchupStats> kCounters[] = {
+      {"catchup.ckpt_sealed", &CatchupStats::ckpt_sealed},
+      {"catchup.ckpt_sent", &CatchupStats::ckpt_sent},
+      {"catchup.ckpt_installed", &CatchupStats::ckpt_installed},
+      {"catchup.ckpt_rejected", &CatchupStats::ckpt_rejected},
+      {"catchup.ckpt_txs_covered", &CatchupStats::ckpt_txs_covered},
+      {"catchup.sync_txs_sent", &CatchupStats::sync_txs_sent},
+      {"catchup.sync_txs_received", &CatchupStats::sync_txs_received},
+      {"catchup.pruned_records", &CatchupStats::pruned_records},
+      {"catchup.recovered_records", &CatchupStats::recovered_records},
+      {"catchup.attest.announced", &CatchupStats::ckpt_announced},
+      {"catchup.attest.sent", &CatchupStats::ckpt_attest_sent},
+      {"catchup.attest.received", &CatchupStats::ckpt_attest_received},
+      {"catchup.attest.promoted", &CatchupStats::ckpt_attested},
+      {"catchup.attest.refused", &CatchupStats::ckpt_refused},
+  };
 };
+static_assert(ListsEveryCounter<CatchupStats>());
 
 /// CPU / storage cost model, calibrated so a 4-vCPU organization saturates
 /// where the paper's does (Fig. 6/7 knees).
@@ -170,18 +191,35 @@ struct ByzantineOrgBehavior {
   bool corrupt_delta = false;
 };
 
-/// Phase-time accumulators backing Table 3, plus overload-shedding counters
-/// (harness::Metrics aggregates these across organizations).
-struct OrgPhaseStats {
-  std::uint64_t endorse_count = 0;
-  std::uint64_t endorse_time_us = 0;   // proposal arrival → endorsement sent
-  std::uint64_t commit_count = 0;
-  std::uint64_t commit_time_us = 0;    // commit arrival → committed
+/// Overload-shedding counters (all zero while the overload layer is off).
+struct OverloadStats {
   std::uint64_t shed_endorse = 0;      // proposals shed at admission
   std::uint64_t shed_commit = 0;       // client commits shed at admission
   std::uint64_t shed_gossip = 0;       // gossip work declined under load
   std::uint64_t shed_deadline = 0;     // endorsements dropped past deadline
   std::uint64_t busy_sent = 0;         // BusyMsg backpressure replies
+
+  std::uint64_t TotalShed() const {
+    return shed_endorse + shed_commit + shed_gossip + shed_deadline;
+  }
+
+  /// Every counter once, with its metric name, in declaration order.
+  static constexpr NamedCounter<OverloadStats> kCounters[] = {
+      {"robustness.shed_endorse", &OverloadStats::shed_endorse},
+      {"robustness.shed_commit", &OverloadStats::shed_commit},
+      {"robustness.shed_gossip", &OverloadStats::shed_gossip},
+      {"robustness.shed_deadline", &OverloadStats::shed_deadline},
+      {"robustness.busy_sent", &OverloadStats::busy_sent},
+  };
+};
+static_assert(ListsEveryCounter<OverloadStats>());
+
+/// Phase-time accumulators backing Table 3.
+struct OrgPhaseStats {
+  std::uint64_t endorse_count = 0;
+  std::uint64_t endorse_time_us = 0;   // proposal arrival → endorsement sent
+  std::uint64_t commit_count = 0;
+  std::uint64_t commit_time_us = 0;    // commit arrival → committed
   double AvgEndorseMs() const {
     return endorse_count == 0 ? 0.0
                               : endorse_time_us / 1000.0 / endorse_count;
@@ -238,6 +276,7 @@ class Organization {
   const ledger::Ledger& ledger() const { return ledger_; }
   ledger::Ledger& mutable_ledger() { return ledger_; }
   const OrgPhaseStats& phase_stats() const { return phase_stats_; }
+  const OverloadStats& overload_stats() const { return overload_stats_; }
   const CatchupStats& catchup_stats() const { return catchup_stats_; }
   /// Latest checkpoint this organization sealed (null before the first).
   const std::shared_ptr<const Checkpoint>& sealed_checkpoint() const {
@@ -263,8 +302,6 @@ class Organization {
     return ledger_.committed_valid() + ckpt_external_valid_;
   }
   std::uint64_t rejected_transactions() const { return rejected_; }
-  /// Current CPU queueing delay (what admission control keys on).
-  sim::SimTime CpuBacklog() const { return cpu_.Backlog(); }
 
   /// Local read of the application state ST_Oi (used by examples/tests).
   crdt::ReadResult ReadState(const std::string& object_id,
@@ -442,6 +479,7 @@ class Organization {
   CatchupStats catchup_stats_;
 
   OrgPhaseStats phase_stats_;
+  OverloadStats overload_stats_;
   std::uint64_t rejected_ = 0;
   bool running_ = true;
   CommitObserver commit_observer_;

@@ -48,10 +48,4 @@ constexpr std::string_view CrdtTypeName(CrdtType t) {
   return "?";
 }
 
-constexpr bool IsLeafType(CrdtType t) {
-  return t == CrdtType::kGCounter || t == CrdtType::kMVRegister ||
-         t == CrdtType::kPNCounter || t == CrdtType::kORSet ||
-         t == CrdtType::kLWWRegister || t == CrdtType::kSequence;
-}
-
 }  // namespace orderless::crdt

@@ -92,8 +92,7 @@ void Peer::HandleBlock(std::shared_ptr<const FabBlock> block) {
       service += config_.merge_per_kb * (tx->rwset.WireSize() / 1024 + 1);
     }
   }
-  if (config_.lockless && config_.mode == ValidationMode::kMvcc &&
-      config_.cores > 1) {
+  if (config_.mode == ValidationMode::kMvcc && config_.cores > 1) {
     // Lockless committer: read-set checks never mutate the version table,
     // so the block's checks fan out across the peer's cores; only the
     // serial write-apply keeps its full cost. Pure integer arithmetic —

@@ -28,15 +28,13 @@ struct PeerConfig {
   /// CRDT-merge cost per byte of merged object state (FabricCRDT's
   ///"objects gradually become large" bottleneck).
   sim::SimTime merge_per_kb = sim::Us(160);
+  /// MVCC read-set validation is lockless ("Lockless Transaction Isolation
+  /// in Hyperledger Fabric"): the committer checks a block's read sets
+  /// against the version table without taking the state lock, so the
+  /// checks spread across `cores`; writes still apply serially in block
+  /// order, and verdicts equal the serial committer's (two-phase
+  /// validate-then-apply with a block-local write shadow).
   ValidationMode mode = ValidationMode::kMvcc;
-  /// Lockless read-set validation ("Lockless Transaction Isolation in
-  /// Hyperledger Fabric"): the committer checks a block's read sets against
-  /// the version table without taking the state lock, so the checks spread
-  /// across `cores`; writes still apply serially in block order. Verdicts
-  /// are bit-identical to the serial committer (two-phase validate-then-
-  /// apply with a block-local write shadow) — only the charged commit
-  /// service time drops. false = the original lock-the-store strawman.
-  bool lockless = true;
   /// Index of the peer that runs the client event service.
   bool emits_events = false;
 };

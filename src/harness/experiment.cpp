@@ -260,42 +260,7 @@ class OrderlessDriver final : public NetDriver<OrderlessNet> {
     return net_->client_actor(client);
   }
 
-  RobustnessStats Robustness() const override {
-    RobustnessStats r;
-    auto& net = *net_;
-    for (std::size_t i = 0; i < net.org_count(); ++i) {
-      const auto& s = net.org(i).phase_stats();
-      r.shed_endorse += s.shed_endorse;
-      r.shed_commit += s.shed_commit;
-      r.shed_gossip += s.shed_gossip;
-      r.shed_deadline += s.shed_deadline;
-      r.busy_sent += s.busy_sent;
-    }
-    for (std::size_t i = 0; i < net.client_count(); ++i) {
-      const auto& s = net.client(i).retry_stats();
-      r.client_retries += s.retries;
-      r.busy_received += s.busy_received;
-      r.commit_resends += s.commit_resends;
-      r.breaker_opens += s.breaker_opens;
-      r.breaker_closes += s.breaker_closes;
-      r.half_open_probes += s.half_open_probes;
-    }
-    for (std::size_t i = 0; i < net.org_count(); ++i) {
-      const auto& cu = net.org(i).catchup_stats();
-      r.ckpt_sealed += cu.ckpt_sealed;
-      r.ckpt_installed += cu.ckpt_installed;
-      r.ckpt_txs_covered += cu.ckpt_txs_covered;
-      r.sync_txs_sent += cu.sync_txs_sent;
-      r.sync_txs_received += cu.sync_txs_received;
-      r.pruned_records += cu.pruned_records;
-      r.ckpt_announced += cu.ckpt_announced;
-      r.ckpt_attest_sent += cu.ckpt_attest_sent;
-      r.ckpt_attest_received += cu.ckpt_attest_received;
-      r.ckpt_attested += cu.ckpt_attested;
-      r.ckpt_refused += cu.ckpt_refused;
-    }
-    return r;
-  }
+  RobustnessStats Robustness() const override { return net_->Robustness(); }
 };
 
 

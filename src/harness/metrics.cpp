@@ -92,34 +92,21 @@ void LatencyRecorder::FillHistogram(obs::Histogram& histogram) const {
   for (sim::SimTime t : samples_) histogram.Record(t);
 }
 
-void RobustnessStats::FillRegistry(obs::MetricsRegistry& registry) const {
-  const std::pair<const char*, std::uint64_t> counters[] = {
-      {"robustness.shed_endorse", shed_endorse},
-      {"robustness.shed_commit", shed_commit},
-      {"robustness.shed_gossip", shed_gossip},
-      {"robustness.shed_deadline", shed_deadline},
-      {"robustness.busy_sent", busy_sent},
-      {"robustness.client_retries", client_retries},
-      {"robustness.busy_received", busy_received},
-      {"robustness.commit_resends", commit_resends},
-      {"robustness.breaker_opens", breaker_opens},
-      {"robustness.breaker_closes", breaker_closes},
-      {"robustness.half_open_probes", half_open_probes},
-      {"catchup.ckpt_sealed", ckpt_sealed},
-      {"catchup.ckpt_installed", ckpt_installed},
-      {"catchup.ckpt_txs_covered", ckpt_txs_covered},
-      {"catchup.sync_txs_sent", sync_txs_sent},
-      {"catchup.sync_txs_received", sync_txs_received},
-      {"catchup.pruned_records", pruned_records},
-      {"catchup.attest.announced", ckpt_announced},
-      {"catchup.attest.sent", ckpt_attest_sent},
-      {"catchup.attest.received", ckpt_attest_received},
-      {"catchup.attest.promoted", ckpt_attested},
-      {"catchup.attest.refused", ckpt_refused},
-  };
-  for (const auto& [name, value] : counters) {
-    registry.counter(name).Add(value);
+namespace {
+
+template <typename Stats>
+void FillCounters(const Stats& stats, obs::MetricsRegistry& registry) {
+  for (const NamedCounter<Stats>& c : Stats::kCounters) {
+    registry.counter(c.name).Add(stats.*c.member);
   }
+}
+
+}  // namespace
+
+void RobustnessStats::FillRegistry(obs::MetricsRegistry& registry) const {
+  FillCounters(overload, registry);
+  FillCounters(retry, registry);
+  FillCounters(catchup, registry);
 }
 
 void ExperimentMetrics::FillRegistry(obs::MetricsRegistry& registry) const {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "core/client.h"
+#include "core/org.h"
 #include "sim/time.h"
 
 namespace orderless::obs {
@@ -60,44 +62,18 @@ class ThroughputSeries {
   std::vector<std::uint64_t> buckets_;
 };
 
-/// Overload-protection counters aggregated across organizations and clients
-/// (all zero while the overload layer is disabled — the seed behaviour).
+/// The overload, retry and checkpoint catch-up counters of one OrderlessChain
+/// run, summed over its organizations and clients by
+/// OrderlessNet::Robustness() (all zero for the other systems and while those
+/// layers are off).
 struct RobustnessStats {
-  // Organization side: requests shed at admission.
-  std::uint64_t shed_endorse = 0;
-  std::uint64_t shed_commit = 0;
-  std::uint64_t shed_gossip = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t busy_sent = 0;
-  // Client side: retry / breaker activity.
-  std::uint64_t client_retries = 0;
-  std::uint64_t busy_received = 0;
-  std::uint64_t commit_resends = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_closes = 0;
-  std::uint64_t half_open_probes = 0;
-  // Checkpoint / catch-up activity aggregated across organizations (all
-  // zero while checkpointing is disabled).
-  std::uint64_t ckpt_sealed = 0;
-  std::uint64_t ckpt_installed = 0;
-  std::uint64_t ckpt_txs_covered = 0;
-  std::uint64_t sync_txs_sent = 0;
-  std::uint64_t sync_txs_received = 0;
-  std::uint64_t pruned_records = 0;
-  // Quorum-attestation activity (all zero while checkpointing is disabled).
-  std::uint64_t ckpt_announced = 0;
-  std::uint64_t ckpt_attest_sent = 0;
-  std::uint64_t ckpt_attest_received = 0;
-  std::uint64_t ckpt_attested = 0;
-  std::uint64_t ckpt_refused = 0;
+  core::OverloadStats overload;
+  core::ClientRetryStats retry;
+  core::CatchupStats catchup;
 
-  std::uint64_t TotalShed() const {
-    return shed_endorse + shed_commit + shed_gossip + shed_deadline;
-  }
-
-  /// Exports every counter into `registry` under "robustness.*" (catch-up
-  /// activity under "catchup.*") — the one reporting source shared by the
-  /// experiment CLI, the overload bench and the chaos tooling.
+  /// Exports every listed counter into `registry` under its metric name —
+  /// the one reporting source shared by the experiment CLI, the overload
+  /// bench and the chaos tooling.
   void FillRegistry(obs::MetricsRegistry& registry) const;
 };
 

@@ -122,4 +122,16 @@ bool OrderlessNet::StateConvergedAmong(
   return true;
 }
 
+RobustnessStats OrderlessNet::Robustness() const {
+  RobustnessStats r;
+  for (const auto& org : orgs_) {
+    AddCounters(r.overload, org->overload_stats());
+    AddCounters(r.catchup, org->catchup_stats());
+  }
+  for (const auto& client : clients_) {
+    AddCounters(r.retry, client->retry_stats());
+  }
+  return r;
+}
+
 }  // namespace orderless::harness

@@ -9,6 +9,7 @@
 #include "core/client.h"
 #include "core/org.h"
 #include "crypto/pki.h"
+#include "harness/metrics.h"
 #include "obs/trace.h"
 #include "sim/network.h"
 
@@ -94,6 +95,10 @@ class OrderlessNet {
   /// runs exclude Byzantine organizations from the SEC invariant).
   bool StateConvergedAmong(const std::string& object_id,
                            const std::vector<std::size_t>& org_indices) const;
+
+  /// Every organization's overload and catch-up counters and every client's
+  /// retry counters, summed: what experiment and chaos reports export.
+  RobustnessStats Robustness() const;
 
  private:
   OrderlessNetConfig config_;

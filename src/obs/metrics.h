@@ -1,9 +1,11 @@
 // Metrics registry: named counters, gauges and fixed-bucket histograms with
 // one JSON export path (obs/json.h). harness::ExperimentMetrics,
-// harness::RobustnessStats and the tracer's convergence/phase stats all
-// report through a registry, so the experiment CLI, the benches, the
-// overload layer and the chaos tooling emit the same schema from the same
-// source.
+// harness::RobustnessStats (the overload, retry and catch-up counters that
+// core::OverloadStats, core::ClientRetryStats and core::CatchupStats each
+// list once with their metric names) and the tracer's convergence/phase
+// stats all report through a registry, so the experiment CLI, the benches,
+// the overload layer and the chaos tooling emit the same schema from the
+// same source.
 //
 // The registry is tooling-side: metrics are filled after a run completes
 // (or by explicitly instrumented non-hot paths), never on the simulator's

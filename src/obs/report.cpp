@@ -267,15 +267,6 @@ bool ParseReportMode(const std::string& name, ReportMode& mode) {
   return true;
 }
 
-const char* ReportModeName(ReportMode mode) {
-  switch (mode) {
-    case ReportMode::kSummary: return "summary";
-    case ReportMode::kTimelines: return "timelines";
-    case ReportMode::kFull: return "full";
-  }
-  return "?";
-}
-
 std::string RenderEventLine(const TraceEvent& event, const ActorNames& names) {
   char buf[160];
   std::snprintf(buf, sizeof buf,

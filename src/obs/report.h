@@ -121,7 +121,6 @@ enum class ReportMode { kSummary, kTimelines, kFull };
 /// Parses a --report mode name; returns false on unknown names (callers
 /// list {summary, timelines, full} and exit 2, matching --preset).
 bool ParseReportMode(const std::string& name, ReportMode& mode);
-const char* ReportModeName(ReportMode mode);
 
 /// Terminal rendering. kSummary: header, phase table, critical orgs,
 /// convergence, gossip, checkpoint counts. kTimelines: summary plus the

@@ -227,54 +227,25 @@ void Simulation::ReserveEventsFor(ActorId dst, std::size_t n) {
 }
 
 bool Simulation::Step() {
-  if (!mode_latched_) LatchMode();
+  if (queue_.empty()) return false;
   // Profiler-off runs take the `prof == nullptr` branches only: one
   // pointer test per event, no clock reads, no allocations.
   obs::Profiler* const prof = profiler_;
   ProfClock::time_point t0;
-  if (!parallel_storage_) {
-    if (queue_.empty()) return false;
-    Event meta;
-    SmallFn fn = queue_.Pop(meta);
-    now_ = meta.time;
-    Lane& lane = *lanes_[meta.dst < lanes_.size() ? meta.dst : 0];
-    lane.now = meta.time;
-    ++processed_;
-    tls_lane_ = &lane;
-    if (prof) {
-      prof->BeginLanes(lanes_.size());
-      t0 = ProfClock::now();
-    }
-    fn();
-    if (prof) {
-      prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
-    }
-    tls_lane_ = nullptr;
-    return true;
-  }
-  // Parallel storage, exclusive step: pop the canonically-earliest event
-  // across all lane heaps (tests and tools that single-step stay exact).
-  Lane* best = nullptr;
-  for (const auto& lane : lanes_) {
-    if (lane->queue.empty()) continue;
-    if (!best || Later{}(best->queue.front(), lane->queue.front())) {
-      best = lane.get();
-    }
-  }
-  if (!best) return false;
   Event meta;
-  SmallFn fn = best->queue.Pop(meta);
+  SmallFn fn = queue_.Pop(meta);
   now_ = meta.time;
-  best->now = meta.time;
-  ++best->processed;
-  tls_lane_ = best;
+  Lane& lane = *lanes_[meta.dst < lanes_.size() ? meta.dst : 0];
+  lane.now = meta.time;
+  ++processed_;
+  tls_lane_ = &lane;
   if (prof) {
     prof->BeginLanes(lanes_.size());
     t0 = ProfClock::now();
   }
   fn();
   if (prof) {
-    prof->OnLaneSlice(best->index, 1, NsBetween(t0, ProfClock::now()));
+    prof->OnLaneSlice(lane.index, 1, NsBetween(t0, ProfClock::now()));
   }
   tls_lane_ = nullptr;
   return true;
@@ -298,14 +269,6 @@ void Simulation::RunUntilIdle() {
   }
   while (Step()) {
   }
-}
-
-std::size_t Simulation::pending() const {
-  std::size_t n = queue_.size();
-  for (const auto& lane : lanes_) {
-    n += lane->queue.size() + lane->outbox.size();
-  }
-  return n;
 }
 
 // --- Parallel engine. ---

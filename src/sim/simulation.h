@@ -275,10 +275,6 @@ class Simulation {
   void ScheduleFor(ActorId dst, SimTime delay, SmallFn fn);
   void ScheduleAtFor(ActorId dst, SimTime when, SmallFn fn);
 
-  /// Runs the earliest event (canonical order) exclusively; returns false
-  /// when no events remain. Steps never run epochs in parallel.
-  bool Step();
-
   /// Processes every event with time <= until, then sets now = until.
   void RunUntil(SimTime until);
 
@@ -290,7 +286,6 @@ class Simulation {
     for (const auto& lane : lanes_) n += lane->processed;
     return n;
   }
-  std::size_t pending() const;
 
   /// Hint for bursty schedulers (benchmark harnesses pre-plan the whole
   /// workload): grows the event storage once instead of amortized doubling.
@@ -408,6 +403,8 @@ class Simulation {
   }
   void ScheduleImpl(Lane& src, SimTime base, ActorId dst, SimTime when,
                     SmallFn fn);
+  /// Sequential engine: runs the earliest event; false when none remain.
+  bool Step();
   void RunParallel(SimTime until);
   void RunLaneEpoch(Lane& lane, SimTime end);
   void RunHarnessBarrier(SimTime at);

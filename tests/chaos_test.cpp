@@ -119,8 +119,8 @@ TEST(ChaosOverload, BurstUnderPartitionShedsAndStillConverges) {
   const ChaosRunResult result = RunScenario(scenario);
   EXPECT_TRUE(result.ok()) << result.Summary() << "\n"
                            << ViolationText(result);
-  EXPECT_GT(result.shed_total, 0u) << result.Summary();
-  EXPECT_GT(result.busy_sent, 0u) << result.Summary();
+  EXPECT_GT(result.robustness.overload.TotalShed(), 0u) << result.Summary();
+  EXPECT_GT(result.robustness.overload.busy_sent, 0u) << result.Summary();
   EXPECT_GT(result.committed, 0u) << result.Summary();
 }
 
@@ -155,9 +155,10 @@ TEST(ChaosCheckpoint, PresetSeedSweepHoldsInvariants) {
       EXPECT_TRUE(result.ok()) << result.Summary() << "\n"
                                << ViolationText(result) << scenario.Describe();
       EXPECT_GT(result.committed, 0u) << scenario.Describe();
-      EXPECT_GT(result.ckpt_sealed_total, 0u) << scenario.Describe();
-      EXPECT_GT(result.ckpt_installed_total, 0u) << scenario.Describe();
-      EXPECT_GT(result.pruned_records_total, 0u) << scenario.Describe();
+      const core::CatchupStats& total = result.robustness.catchup;
+      EXPECT_GT(total.ckpt_sealed, 0u) << scenario.Describe();
+      EXPECT_GT(total.ckpt_installed, 0u) << scenario.Describe();
+      EXPECT_GT(total.pruned_records, 0u) << scenario.Describe();
     }
   }
 }
@@ -170,8 +171,10 @@ TEST(ChaosCheckpoint, PresetReplaysBitIdentically) {
     EXPECT_EQ(first.fingerprint, second.fingerprint) << scenario.Describe();
     EXPECT_EQ(first.org_chain_heads, second.org_chain_heads);
     EXPECT_EQ(first.events_processed, second.events_processed);
-    EXPECT_EQ(first.ckpt_installed_total, second.ckpt_installed_total);
-    EXPECT_EQ(first.pruned_records_total, second.pruned_records_total);
+    EXPECT_EQ(first.robustness.catchup.ckpt_installed,
+              second.robustness.catchup.ckpt_installed);
+    EXPECT_EQ(first.robustness.catchup.pruned_records,
+              second.robustness.catchup.pruned_records);
   }
 }
 

@@ -456,8 +456,8 @@ TEST(CheckpointCatchup, LongPartitionHealsInODelta) {
       << "coverage adoption replaces body transfer instead of adding to it";
 
   // Storage was actually reclaimed behind the sealed frontiers.
-  EXPECT_GT(on.pruned_records_total, 0u);
-  EXPECT_EQ(off.pruned_records_total, 0u);
+  EXPECT_GT(on.robustness.catchup.pruned_records, 0u);
+  EXPECT_EQ(off.robustness.catchup.pruned_records, 0u);
 }
 
 TEST(CheckpointCatchup, CrashRestartUnderLoadRecoversInODelta) {
@@ -529,7 +529,7 @@ TEST(CheckpointCatchup, ByzantineCatchupHealsInODeltaUnderAttack) {
                        on.org_catchup[org].ckpt_rejected;
   }
   EXPECT_GT(honest_pushback, 0u);
-  EXPECT_GT(on.ckpt_attested_total, 0u);
+  EXPECT_GT(on.robustness.catchup.ckpt_attested, 0u);
   // The dishonest attester (org 2) never got its forged seals promoted.
   EXPECT_EQ(on.org_catchup[2].ckpt_attested, 0u);
 }
@@ -542,6 +542,27 @@ TEST(CheckpointCatchup, ByzantineCatchupReplaysBitIdentically) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.org_chain_heads, b.org_chain_heads);
   EXPECT_EQ(a.events_processed, b.events_processed);
+}
+
+// Every other fingerprint check compares two runs inside one binary, which a
+// change to what the fingerprint folds (or in which order) passes. These
+// values were recorded from a Release build and must hold in every build
+// and at every later commit that does not mean to change simulated results.
+TEST(CheckpointCatchup, FingerprintsArePinned) {
+  const struct {
+    chaos::Scenario scenario;
+    std::uint64_t fingerprint;
+  } pinned[] = {
+      {chaos::MakeLongPartitionScenario(1), 0x2c4f1c87fae7a480},
+      {chaos::MakeCrashRestartScenario(1), 0xf0df5741593aad76},
+      {chaos::MakeByzantineCatchupScenario(1), 0x98513acda7da4820},
+      {chaos::GenerateScenario(42), 0xa681750b589e8977},
+  };
+  for (const auto& [scenario, fingerprint] : pinned) {
+    const chaos::ChaosRunResult result = chaos::RunScenario(scenario);
+    EXPECT_TRUE(result.ok()) << result.Summary();
+    EXPECT_EQ(result.fingerprint, fingerprint) << scenario.Describe();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "clock/logical_clock.h"
-#include "clock/vector_clock.h"
 
 namespace orderless::clk {
 namespace {
@@ -63,81 +62,6 @@ TEST(LamportClock, ObserveAdvances) {
   EXPECT_EQ(clock.Tick().counter, 101u);
   clock.Observe(50);  // lower values don't rewind
   EXPECT_EQ(clock.Tick().counter, 102u);
-}
-
-TEST(VectorClock, TickAndGet) {
-  VectorClock vc;
-  EXPECT_EQ(vc.Get(1), 0u);
-  vc.Tick(1);
-  vc.Tick(1);
-  vc.Tick(2);
-  EXPECT_EQ(vc.Get(1), 2u);
-  EXPECT_EQ(vc.Get(2), 1u);
-}
-
-TEST(VectorClock, CompareCausal) {
-  VectorClock a;
-  a.Tick(1);
-  VectorClock b = a;
-  b.Tick(1);
-  EXPECT_EQ(a.CompareTo(b), Order::kBefore);
-  EXPECT_EQ(b.CompareTo(a), Order::kAfter);
-  EXPECT_EQ(a.CompareTo(a), Order::kEqual);
-}
-
-TEST(VectorClock, CompareConcurrent) {
-  VectorClock a;
-  a.Tick(1);
-  VectorClock b;
-  b.Tick(2);
-  EXPECT_EQ(a.CompareTo(b), Order::kConcurrent);
-  EXPECT_EQ(b.CompareTo(a), Order::kConcurrent);
-}
-
-TEST(VectorClock, MergeIsLeastUpperBound) {
-  VectorClock a;
-  a.Tick(1);
-  a.Tick(1);
-  VectorClock b;
-  b.Tick(2);
-  VectorClock m = a;
-  m.Merge(b);
-  EXPECT_EQ(m.Get(1), 2u);
-  EXPECT_EQ(m.Get(2), 1u);
-  EXPECT_EQ(a.CompareTo(m), Order::kBefore);
-  EXPECT_EQ(b.CompareTo(m), Order::kBefore);
-}
-
-TEST(VectorClock, MergeIdempotentCommutative) {
-  VectorClock a;
-  a.Tick(1);
-  a.Tick(3);
-  VectorClock b;
-  b.Tick(2);
-  b.Tick(3);
-  b.Tick(3);
-
-  VectorClock ab = a;
-  ab.Merge(b);
-  VectorClock ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab, ba);
-  VectorClock abb = ab;
-  abb.Merge(b);
-  EXPECT_EQ(abb, ab);
-}
-
-TEST(VectorClock, EncodeDecode) {
-  VectorClock vc;
-  vc.Tick(1);
-  vc.Tick(7);
-  vc.Tick(7);
-  codec::Writer w;
-  vc.Encode(w);
-  codec::Reader r{BytesView(w.data())};
-  const auto decoded = VectorClock::Decode(r);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, vc);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Decoder robustness: Byzantine peers can hand us arbitrary bytes. Every
 // decoder (operations, write-sets, CRDT states, proposals, transactions,
-// vector clocks, values, checkpoints and their attestations, and the
+// values, checkpoints and their attestations, and the
 // MiniLevel WAL, SSTable and MANIFEST files) must reject mutated or
 // truncated input gracefully
 // — no crashes, no exceptions, no allocation sized by an unread count — and
@@ -19,7 +19,6 @@
 #include <new>
 
 #include "common/rng.h"
-#include "clock/vector_clock.h"
 #include "core/checkpoint.h"
 #include "core/transaction.h"
 #include "crdt/object.h"
@@ -505,23 +504,6 @@ TEST(FuzzDecode, MutatedProposalsNeverCrash) {
   for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
     codec::Reader r{BytesView(encoded.data(), cut)};
     (void)core::Proposal::Decode(r);
-  }
-}
-
-TEST(FuzzDecode, MutatedVectorClocksNeverCrash) {
-  Rng rng(888);
-  clk::VectorClock vc;
-  for (int i = 0; i < 10; ++i) vc.Tick(rng.NextBelow(5));
-  codec::Writer w;
-  vc.Encode(w);
-  const Bytes encoded = w.Take();
-  for (int round = 0; round < 200; ++round) {
-    Bytes mutated = encoded;
-    mutated[rng.NextBelow(mutated.size())] =
-        static_cast<std::uint8_t>(rng.Next());
-    codec::Reader r{BytesView(mutated)};
-    const auto decoded = clk::VectorClock::Decode(r);
-    if (decoded) (void)decoded->ToString();
   }
 }
 

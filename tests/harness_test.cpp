@@ -2,8 +2,11 @@
 // table rendering, workload accounting, and the Byzantine-phase scheduler.
 #include <gtest/gtest.h>
 
+#include "contracts/voting.h"
 #include "harness/experiment.h"
+#include "harness/orderless_net.h"
 #include "harness/table.h"
+#include "obs/metrics.h"
 
 namespace orderless::harness {
 namespace {
@@ -39,6 +42,77 @@ TEST(MetricsTest, ThroughputUsesCommitWindow) {
 TEST(MetricsTest, MeanHelper) {
   EXPECT_EQ(Mean({}), 0.0);
   EXPECT_NEAR(Mean({1.0, 2.0, 3.0}), 2.0, 1e-12);
+}
+
+/// Expects `registry` to hold every counter `Stats` lists, each equal to the
+/// sum of that member over `stats(0) .. stats(n - 1)`.
+template <typename Stats, typename Get>
+void ExpectSummedCounters(obs::MetricsRegistry& registry, std::size_t n,
+                          Get stats) {
+  for (const NamedCounter<Stats>& c : Stats::kCounters) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i) sum += stats(i).*c.member;
+    EXPECT_EQ(registry.counter(c.name).value(), sum) << c.name;
+  }
+}
+
+TEST(MetricsTest, RegistryCarriesEveryCounterSummedOverOrgsAndClients) {
+  // A checkpointed run under overload: admission sheds and Busy replies,
+  // client retries, and checkpoint seals all move.
+  OrderlessNetConfig config;
+  config.num_orgs = 4;
+  config.num_clients = 8;
+  config.policy = core::EndorsementPolicy{2, 4};
+  config.seed = 11;
+  config.org_timing.antientropy_interval = sim::Ms(300);
+  config.org_timing.checkpoint.interval = sim::Ms(300);
+  config.org_timing.overload.enabled = true;
+  config.org_timing.overload.max_backlog_endorse = sim::Us(200);
+  config.org_timing.overload.max_backlog_gossip = sim::Us(200);
+  config.client_timing.max_attempts = 6;
+  config.client_timing.backoff_base = sim::Ms(5);
+  config.client_timing.backoff_cap = sim::Ms(200);
+  config.client_timing.breaker_threshold = 3;
+  OrderlessNet net(config);
+  net.RegisterContract(std::make_shared<contracts::VotingContract>());
+  net.Start();
+  for (std::size_t round = 0; round < 12; ++round) {
+    for (std::size_t c = 0; c < net.client_count(); ++c) {
+      const std::vector<crdt::Value> args = {
+          crdt::Value("e"), crdt::Value(static_cast<std::int64_t>(c % 4)),
+          crdt::Value(std::int64_t{4})};
+      net.simulation().ScheduleFor(
+          net.client_actor(c), sim::Ms(100) * round, [&net, c, args] {
+            net.client(c).SubmitModify("voting", "Vote", args,
+                                       [](const core::TxOutcome&) {});
+          });
+    }
+  }
+  net.simulation().RunUntil(sim::Sec(8));
+
+  const RobustnessStats robustness = net.Robustness();
+  obs::MetricsRegistry registry;
+  robustness.FillRegistry(registry);
+  const std::size_t listed = std::size(core::OverloadStats::kCounters) +
+                             std::size(core::ClientRetryStats::kCounters) +
+                             std::size(core::CatchupStats::kCounters);
+  EXPECT_EQ(registry.size(), listed);
+
+  ExpectSummedCounters<core::OverloadStats>(
+      registry, net.org_count(),
+      [&net](std::size_t i) { return net.org(i).overload_stats(); });
+  ExpectSummedCounters<core::CatchupStats>(
+      registry, net.org_count(),
+      [&net](std::size_t i) { return net.org(i).catchup_stats(); });
+  ExpectSummedCounters<core::ClientRetryStats>(
+      registry, net.client_count(),
+      [&net](std::size_t i) { return net.client(i).retry_stats(); });
+  // Each lookup above found an exported counter instead of adding one.
+  EXPECT_EQ(registry.size(), listed);
+  // The run moved what it was built to move, so the sums are not all zero.
+  EXPECT_GT(robustness.overload.TotalShed(), 0u);
+  EXPECT_GT(robustness.retry.retries, 0u);
+  EXPECT_GT(robustness.catchup.ckpt_sealed, 0u);
 }
 
 TEST(TableTest, NumFormatting) {

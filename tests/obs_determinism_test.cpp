@@ -73,9 +73,11 @@ TEST(TracingDeterminismTest, CheckpointRunsAreOutcomeNeutral) {
     const ChaosRunResult traced = RunScenario(scenario, options);
 
     ExpectIdenticalOutcome(untraced, traced);
-    EXPECT_EQ(untraced.ckpt_sealed_total, traced.ckpt_sealed_total);
-    EXPECT_EQ(untraced.ckpt_installed_total, traced.ckpt_installed_total);
-    EXPECT_EQ(untraced.pruned_records_total, traced.pruned_records_total);
+    const core::CatchupStats& a = untraced.robustness.catchup;
+    const core::CatchupStats& b = traced.robustness.catchup;
+    EXPECT_EQ(a.ckpt_sealed, b.ckpt_sealed);
+    EXPECT_EQ(a.ckpt_installed, b.ckpt_installed);
+    EXPECT_EQ(a.pruned_records, b.pruned_records);
     // The checkpoint lifecycle must actually appear in the recorded stream.
     bool saw_seal = false, saw_install = false;
     for (const obs::TraceEvent& e : tracer.events()) {

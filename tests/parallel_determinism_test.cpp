@@ -80,8 +80,9 @@ TEST(ParallelCheckpoint, PresetScenariosIdenticalAcrossThreadCounts) {
         chaos::RunScenario(scenario, options);
     EXPECT_TRUE(baseline.ok()) << baseline.Summary();
     // Vacuity guard: the run must actually have exercised the catch-up path.
-    EXPECT_GT(baseline.ckpt_sealed_total, 0u) << scenario.Describe();
-    EXPECT_GT(baseline.ckpt_installed_total, 0u) << scenario.Describe();
+    const core::CatchupStats& expected = baseline.robustness.catchup;
+    EXPECT_GT(expected.ckpt_sealed, 0u) << scenario.Describe();
+    EXPECT_GT(expected.ckpt_installed, 0u) << scenario.Describe();
     for (unsigned threads : {2u, 4u, 8u}) {
       options.threads = threads;
       const chaos::ChaosRunResult run = chaos::RunScenario(scenario, options);
@@ -91,8 +92,10 @@ TEST(ParallelCheckpoint, PresetScenariosIdenticalAcrossThreadCounts) {
           << scenario.Describe() << " threads=" << threads;
       EXPECT_EQ(run.events_processed, baseline.events_processed)
           << scenario.Describe() << " threads=" << threads;
-      EXPECT_EQ(run.ckpt_installed_total, baseline.ckpt_installed_total);
-      EXPECT_EQ(run.pruned_records_total, baseline.pruned_records_total);
+      EXPECT_EQ(run.robustness.catchup.ckpt_installed,
+                expected.ckpt_installed);
+      EXPECT_EQ(run.robustness.catchup.pruned_records,
+                expected.pruned_records);
     }
   }
 }
@@ -107,8 +110,9 @@ TEST(ParallelCheckpoint, ByzantineCatchupIdenticalAcrossThreadCounts) {
   options.threads = 1;
   const chaos::ChaosRunResult baseline = chaos::RunScenario(scenario, options);
   EXPECT_TRUE(baseline.ok()) << baseline.Summary();
-  EXPECT_GT(baseline.ckpt_attested_total, 0u) << scenario.Describe();
-  EXPECT_GT(baseline.ckpt_refused_total, 0u) << scenario.Describe();
+  const core::CatchupStats& expected = baseline.robustness.catchup;
+  EXPECT_GT(expected.ckpt_attested, 0u) << scenario.Describe();
+  EXPECT_GT(expected.ckpt_refused, 0u) << scenario.Describe();
   for (unsigned threads : {2u, 4u, 8u}) {
     options.threads = threads;
     const chaos::ChaosRunResult run = chaos::RunScenario(scenario, options);
@@ -118,9 +122,9 @@ TEST(ParallelCheckpoint, ByzantineCatchupIdenticalAcrossThreadCounts) {
         << scenario.Describe() << " threads=" << threads;
     EXPECT_EQ(run.events_processed, baseline.events_processed)
         << scenario.Describe() << " threads=" << threads;
-    EXPECT_EQ(run.ckpt_attested_total, baseline.ckpt_attested_total);
-    EXPECT_EQ(run.ckpt_refused_total, baseline.ckpt_refused_total);
-    EXPECT_EQ(run.ckpt_rejected_total, baseline.ckpt_rejected_total);
+    EXPECT_EQ(run.robustness.catchup.ckpt_attested, expected.ckpt_attested);
+    EXPECT_EQ(run.robustness.catchup.ckpt_refused, expected.ckpt_refused);
+    EXPECT_EQ(run.robustness.catchup.ckpt_rejected, expected.ckpt_rejected);
   }
 }
 

@@ -152,8 +152,8 @@ TEST(RetryBackoff, BusyBackpressureDelaysRetryUntilCommit) {
   }
   std::uint64_t busy_sent = 0, shed_endorse = 0;
   for (std::size_t i = 0; i < net->org_count(); ++i) {
-    busy_sent += net->org(i).phase_stats().busy_sent;
-    shed_endorse += net->org(i).phase_stats().shed_endorse;
+    busy_sent += net->org(i).overload_stats().busy_sent;
+    shed_endorse += net->org(i).overload_stats().shed_endorse;
   }
   EXPECT_GT(busy_sent, 0u);
   EXPECT_GT(shed_endorse, 0u);

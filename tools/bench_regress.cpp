@@ -20,6 +20,9 @@
 //     when the deletion is intended). Absent info-only data is listed but
 //     does not gate — there is no check to drop, and host-dependent rows
 //     (e.g. a SHA-NI kernel on a CPU without it) may legitimately vanish.
+//   * Every point needs its own key (its name plus its string fields): a
+//     document in which two rows share one is a file error (exit 2), since
+//     the later row would hide the earlier one from comparison.
 //   * A top-level "<metric>_at_<N>_threads" field is a parallel-speedup
 //     claim. A baseline recorded with meta.host_threads below N cannot back
 //     it, so such a baseline is refused (exit 2), and --update will not
@@ -175,9 +178,17 @@ bool Flatten(const json::JsonValue& doc, const std::string& label,
   }
   for (const json::JsonValue& point : points->array) {
     if (point.type != json::JsonValue::Type::kObject) continue;
-    auto& fields = out.points[PointKey(point)];
+    const std::string key = PointKey(point);
+    const auto [it, inserted] = out.points.try_emplace(key);
+    if (!inserted) {
+      // A second row under one key would overwrite the first, which would
+      // then never be compared.
+      std::fprintf(stderr, "%s: duplicate point key \"%s\"\n", label.c_str(),
+                   key.c_str());
+      return false;
+    }
     for (const auto& [k, v] : point.object) {
-      if (v.type == json::JsonValue::Type::kNumber) fields[k] = v.number;
+      if (v.type == json::JsonValue::Type::kNumber) it->second[k] = v.number;
     }
   }
   return true;
@@ -372,9 +383,10 @@ bool ParseFlat(const char* text, const char* label, FlatBench& out) {
 /// Self-test: builds synthetic baseline/current pairs in memory and checks
 /// that (a) a 2x p99_ms regression and an exact-count mismatch are caught
 /// while an info-only wall_ms doubling is not, (b) a baseline point or
-/// field absent from the current run fails the gate, and (c) a baseline
-/// whose "_at_<N>_threads" claim exceeds its host_threads is refused.
-/// Guards the gate itself.
+/// field absent from the current run fails the gate, (c) a baseline whose
+/// "_at_<N>_threads" claim exceeds its host_threads is refused, and (d) a
+/// document with two rows under one point key is refused. Guards the gate
+/// itself.
 int SelfTest() {
   const char* base_text = R"({
   "bench": "selftest",
@@ -492,6 +504,23 @@ int SelfTest() {
   expect(ClaimedThreads("fig6b_speedup_at_4_threads") == 4,
          "claim key parse");
   expect(ClaimedThreads("hardware_threads") == 0, "non-claim key parse");
+
+  // (d) Rows that share a point key would overwrite each other, so all but
+  // the last would go unchecked; rows that differ in a string field do not
+  // share one.
+  FlatBench duplicate;
+  expect(!ParseFlat(R"({"bench": "d", "points": [
+           {"name": "sweep", "mode": "on", "tx_count": 48, "committed": 48},
+           {"name": "sweep", "mode": "on", "tx_count": 96, "committed": 96}]})",
+                    "selftest-duplicate", duplicate),
+         "rows sharing a point key must be refused");
+  FlatBench distinct;
+  expect(ParseFlat(R"({"bench": "d", "points": [
+           {"name": "sweep", "mode": "on", "committed": 48},
+           {"name": "sweep", "mode": "off", "committed": 48}]})",
+                   "selftest-distinct", distinct) &&
+             distinct.points.size() == 2,
+         "rows differing in a string field must stay distinct");
   std::printf("self-test %s\n", failures == 0 ? "passed" : "FAILED");
   return failures == 0 ? 0 : 1;
 }

@@ -14,6 +14,8 @@
 //                                          # (checkpoints + attestation on)
 //   chaos_explorer --seed 1337 --trace t.json [--trace-filter kinds]
 //                  [--metrics-json m.json]   # record + export a trace
+//                  # (with --seed or --preset the metrics also carry the
+//                  #  run's robustness.* and catchup.* counters)
 //   chaos_explorer --preset byzantine-catchup --report summary
 //                  [--report-json r.json]    # reconstructed run report
 //                  # (works on successful runs too; forces tracing; modes
@@ -163,13 +165,15 @@ void PrintFailure(const Scenario& scenario, const ChaosRunResult& result,
 }
 
 int RunOne(std::uint64_t seed, bool replay_check, bool minimize, bool verbose,
-           obs::Tracer* tracer, unsigned threads) {
+           obs::Tracer* tracer, unsigned threads,
+           obs::MetricsRegistry& metrics) {
   const Scenario scenario = GenerateScenario(seed);
   if (verbose) std::printf("%s", scenario.Describe().c_str());
   RunOptions options;
   options.tracer = tracer;
   options.threads = threads;
   const ChaosRunResult result = RunScenario(scenario, options);
+  result.robustness.FillRegistry(metrics);
   if (!result.ok()) {
     PrintFailure(scenario, result, minimize, tracer);
     return 1;
@@ -271,7 +275,8 @@ int RunByzantineSweep(std::uint64_t count, bool minimize, obs::Tracer* tracer,
 }
 
 int RunPreset(const Scenario& scenario, const char* name, bool replay_check,
-              obs::Tracer* tracer, unsigned threads) {
+              obs::Tracer* tracer, unsigned threads,
+              obs::MetricsRegistry& metrics) {
   std::printf("running %s preset (checkpoints %s)\n", name,
               scenario.checkpoints ? "on" : "off");
   std::printf("%s", scenario.Describe().c_str());
@@ -279,27 +284,20 @@ int RunPreset(const Scenario& scenario, const char* name, bool replay_check,
   options.tracer = tracer;
   options.threads = threads;
   const ChaosRunResult result = RunScenario(scenario, options);
+  result.robustness.FillRegistry(metrics);
   if (!result.ok()) {
     PrintFailure(scenario, result, /*minimize=*/false, tracer);
     return 1;
   }
   std::printf("ok %s\n", result.Summary().c_str());
   for (std::size_t i = 0; i < result.org_catchup.size(); ++i) {
-    const auto& cu = result.org_catchup[i];
-    std::printf(
-        "  org %zu: sealed=%llu sent=%llu installed=%llu rejected=%llu "
-        "covered=%llu sync_rx=%llu pruned=%llu recovered=%llu "
-        "attested=%llu refused=%llu\n",
-        i, static_cast<unsigned long long>(cu.ckpt_sealed),
-        static_cast<unsigned long long>(cu.ckpt_sent),
-        static_cast<unsigned long long>(cu.ckpt_installed),
-        static_cast<unsigned long long>(cu.ckpt_rejected),
-        static_cast<unsigned long long>(cu.ckpt_txs_covered),
-        static_cast<unsigned long long>(cu.sync_txs_received),
-        static_cast<unsigned long long>(cu.pruned_records),
-        static_cast<unsigned long long>(cu.recovered_records),
-        static_cast<unsigned long long>(cu.ckpt_attested),
-        static_cast<unsigned long long>(cu.ckpt_refused));
+    std::printf("  org %zu:", i);
+    for (const auto& c : orderless::core::CatchupStats::kCounters) {
+      std::printf(" %s=%llu", c.name,
+                  static_cast<unsigned long long>(result.org_catchup[i].*
+                                                  c.member));
+    }
+    std::printf("\n");
   }
   if (replay_check) {
     const ChaosRunResult replay = RunScenario(scenario);
@@ -457,6 +455,9 @@ int main(int argc, char** argv) {
   obs::Tracer tracer(tracer_config);
   obs::Tracer* tracer_ptr = tracing ? &tracer : nullptr;
 
+  // --seed and --preset runs export their robustness.* and catchup.*
+  // counters here; the trace metrics follow.
+  obs::MetricsRegistry metrics;
   auto with_txs = [&](Scenario s) {
     if (preset_txs > 0) s.tx_count = preset_txs;
     return s;
@@ -468,15 +469,15 @@ int main(int argc, char** argv) {
     if (preset == "long-partition") {
       rc = RunPreset(with_txs(orderless::chaos::MakeLongPartitionScenario(preset_seed)),
                      "long-partition", replay_check, tracer_ptr,
-                     threads);
+                     threads, metrics);
     } else if (preset == "crash-restart") {
       rc = RunPreset(with_txs(orderless::chaos::MakeCrashRestartScenario(preset_seed)),
                      "crash-restart", replay_check, tracer_ptr,
-                     threads);
+                     threads, metrics);
     } else if (preset == "byzantine-catchup") {
       rc = RunPreset(
           with_txs(orderless::chaos::MakeByzantineCatchupScenario(preset_seed)),
-          "byzantine-catchup", replay_check, tracer_ptr, threads);
+          "byzantine-catchup", replay_check, tracer_ptr, threads, metrics);
     } else {
       std::fprintf(stderr, "unknown preset: %s\navailable presets:\n",
                    preset.c_str());
@@ -490,7 +491,7 @@ int main(int argc, char** argv) {
                            threads, minimized_out);
   } else if (have_seed) {
     rc = RunOne(seed, replay_check, minimize, verbose, tracer_ptr,
-                threads);
+                threads, metrics);
   } else if (sweep > 0) {
     rc = RunSweep(sweep, minimize, tracer_ptr, threads, minimized_out);
   } else {
@@ -540,9 +541,8 @@ int main(int argc, char** argv) {
                   trace_path.c_str());
     }
     if (!metrics_path.empty()) {
-      obs::MetricsRegistry registry;
-      obs::FillTraceMetrics(tracer, registry);
-      if (!registry.WriteJsonFile("chaos_metrics", metrics_path)) {
+      obs::FillTraceMetrics(tracer, metrics);
+      if (!metrics.WriteJsonFile("chaos_metrics", metrics_path)) {
         std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
         return rc == 0 ? 1 : rc;
       }
