@@ -4,8 +4,10 @@
 // at its saturation point). Expected shape: OrderlessChain's two phases are
 // tens of milliseconds; the coordination-based systems are dominated by
 // their consensus phase (seconds), which is their ordering bottleneck
-// queueing under overload.
+// queueing under overload. Emits BENCH_table3.json: one point per system x
+// phase, for bench_regress.
 #include "bench_common.h"
+#include "obs/json.h"
 
 int main() {
   using namespace orderless::bench;
@@ -28,6 +30,7 @@ int main() {
       {SystemKind::kSyncHotStuff, 16, 4000},
   };
 
+  orderless::obs::JsonBench json("table3");
   for (const Row& row : rows) {
     ExperimentConfig config;
     config.system = row.system;
@@ -40,13 +43,17 @@ int main() {
     config.workload.num_clients = 1000;
     config.seed = 5;
     const auto result = RunExperiment(config);
-    std::printf("%s (%.0f tps):\n",
-                std::string(orderless::harness::SystemName(row.system)).c_str(),
-                row.rate);
+    const std::string system(orderless::harness::SystemName(row.system));
+    std::printf("%s (%.0f tps):\n", system.c_str(), row.rate);
     for (const auto& [phase, ms] : result.breakdown.phases) {
       std::printf("  %-14s %10.1f ms\n", phase.c_str(), ms);
+      json.Point(phase);
+      json.Field("system", system);
+      json.Field("events_processed", result.events_processed);
+      json.Field("phase_ms", ms);
     }
     std::printf("\n");
   }
+  json.Write();
   return 0;
 }

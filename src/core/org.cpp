@@ -10,6 +10,8 @@
 
 namespace orderless::core {
 
+namespace cost = sim::cost;
+
 namespace {
 
 /// True when `a` is preferred over `b` (null = nothing held): more covered
@@ -77,7 +79,7 @@ Organization::Organization(sim::Simulation& simulation, sim::Network& network,
       policy_(policy),
       timing_(timing),
       rng_(rng),
-      cpu_(simulation, timing.cores),
+      cpu_(simulation, cost::kNodeCores),
       cache_lock_(simulation, 1),
       ledger_(store ? std::move(store)
                     : std::make_shared<ledger::MemKvStore>(),
@@ -388,10 +390,10 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
     }
     auto evidence = std::make_shared<AttestationSet>(ckpt_msg->attestations);
     const sim::SimTime verify_service =
-        timing_.checkpoint.install_base +
-        timing_.checkpoint.install_per_object *
+        cost::kCkptInstallBase +
+        cost::kCkptInstallPerObject *
             static_cast<sim::SimTime>(ckpt->objects.size()) +
-        timing_.checkpoint.attest_accept *
+        cost::kCkptAttestationCheck *
             static_cast<sim::SimTime>(evidence->attestations.size());
     cpu_.Submit(verify_service, [this, ckpt, evidence] {
       if (!running_) return;
@@ -409,8 +411,8 @@ void Organization::OnDelivery(const sim::Delivery& delivery) {
         return;
       }
       const sim::SimTime merge_service =
-          timing_.cache_apply_base +
-          timing_.cache_apply_per_op *
+          cost::kOrgCacheApplyBase +
+          cost::kOrgCacheApplyPerOp *
               static_cast<sim::SimTime>(ckpt->objects.size());
       cache_lock_.Submit(merge_service, [this, ckpt, evidence] {
         if (!running_) return;
@@ -457,9 +459,9 @@ void Organization::HandleProposal(sim::NodeId from,
   // Estimate service before executing: base plus argument-proportional work.
   const sim::SimTime exec_service =
       proposal.read_only
-          ? timing_.read_base
+          ? cost::kOrgRead
           : timing_.endorse_base +
-                timing_.endorse_per_op * proposal.args.size() / 4;
+                cost::kOrgEndorsePerFourArgs * proposal.args.size() / 4;
 
   if (timing_.overload.enabled) {
     if (deadline > 0 &&
@@ -516,8 +518,8 @@ void Organization::ExecuteProposal(sim::NodeId from, const Proposal& proposal,
   if (proposal.read_only) {
     // Reads go through the cache's lock as well (read-your-writes path).
     const sim::SimTime lock_service =
-        timing_.cache_read_base +
-        timing_.cache_read_per_object *
+        cost::kOrgCacheReadBase +
+        cost::kOrgCacheReadPerObject *
             std::max<std::uint32_t>(1, result.objects_read);
     auto value = std::make_shared<crdt::Value>(std::move(result.value));
     cache_lock_.Submit(lock_service, sim::TriviallyRelocatable{[this, from,
@@ -609,9 +611,9 @@ void Organization::HandleCommit(sim::NodeId from,
 
   // TriviallyRelocatable: scalar + shared_ptr captures relocate by raw byte
   // copy inside the event queue's slab (see sim::SmallFn).
-  cpu_.Submit(timing_.dedup_check, sim::TriviallyRelocatable{[this, from, tx,
-                                                             from_gossip,
-                                                             arrival] {
+  cpu_.Submit(cost::kOrgDedupCheck, sim::TriviallyRelocatable{[this, from, tx,
+                                                              from_gossip,
+                                                              arrival] {
     if (!running_) return;
     TxEntry& entry = txs_.FindOrInsert(tx->id).first;
     // Already committed: do not commit again; resend the receipt (paper §4).
@@ -621,7 +623,7 @@ void Organization::HandleCommit(sim::NodeId from,
       entry.admitted = false;
       if (obs::Tracer* t = simulation_.tracer()) {
         t->Span(obs::EventKind::kPipeDedup,
-                simulation_.now() - timing_.dedup_check, simulation_.now(),
+                simulation_.now() - cost::kOrgDedupCheck, simulation_.now(),
                 node_, tx->id.Prefix64(), 1);
       }
       if (!from_gossip) SendReceipt(from, tx->id, entry);
@@ -631,7 +633,7 @@ void Organization::HandleCommit(sim::NodeId from,
     if (entry.in_flight) {
       if (obs::Tracer* t = simulation_.tracer()) {
         t->Span(obs::EventKind::kPipeDedup,
-                simulation_.now() - timing_.dedup_check, simulation_.now(),
+                simulation_.now() - cost::kOrgDedupCheck, simulation_.now(),
                 node_, tx->id.Prefix64(), 2);
       }
       if (!from_gossip) waiters_[tx->id].push_back(from);
@@ -640,13 +642,13 @@ void Organization::HandleCommit(sim::NodeId from,
     entry.in_flight = true;
     if (obs::Tracer* t = simulation_.tracer()) {
       t->Span(obs::EventKind::kPipeDedup,
-              simulation_.now() - timing_.dedup_check, simulation_.now(),
+              simulation_.now() - cost::kOrgDedupCheck, simulation_.now(),
               node_, tx->id.Prefix64(), 0);
     }
 
     const sim::SimTime validate_service =
         timing_.commit_base +
-        timing_.commit_per_sig *
+        cost::kOrgVerifySig *
             static_cast<sim::SimTime>(tx->endorsements.size() + 1);
     cpu_.Submit(validate_service,
                 sim::TriviallyRelocatable{[this, from, tx, from_gossip,
@@ -665,8 +667,8 @@ void Organization::HandleCommit(sim::NodeId from,
       }
       if (verdict == TxVerdict::kValid) {
         const sim::SimTime apply_service =
-            timing_.cache_apply_base +
-            timing_.cache_apply_per_op *
+            cost::kOrgCacheApplyBase +
+            cost::kOrgCacheApplyPerOp *
                 static_cast<sim::SimTime>(tx->ops.size());
         cache_lock_.Submit(
             apply_service,
@@ -851,8 +853,8 @@ void Organization::CheckpointTick() {
     // any other state access; the service charge models the snapshot encode
     // and signature.
     const sim::SimTime service =
-        timing_.checkpoint.seal_base +
-        timing_.checkpoint.seal_per_tx *
+        cost::kCkptSealBase +
+        cost::kCkptSealPerTx *
             static_cast<sim::SimTime>(committed_ids_);
     cache_lock_.Submit(service, [this] {
       if (!running_) return;
@@ -1016,8 +1018,8 @@ void Organization::HandleCheckpointAnnounce(
   if (byzantine_.active && byzantine_.withhold_attest) return;
   if (ckpt->origin == key_.id()) return;  // own digests self-attest at seal
   const sim::SimTime service =
-      timing_.checkpoint.attest_verify_base +
-      timing_.checkpoint.attest_verify_per_object *
+      cost::kCkptAttestVerifyBase +
+      cost::kCkptAttestVerifyPerObject *
           static_cast<sim::SimTime>(ckpt->objects.size());
   cpu_.Submit(service, [this, from, ckpt] {
     if (!running_) return;
@@ -1056,7 +1058,7 @@ void Organization::HandleCheckpointAttest(const CheckpointAttestMsg& msg) {
   }
   const CheckpointAttestation attestation = msg.attestation;
   const crypto::Digest digest = msg.ckpt_digest;
-  cpu_.Submit(timing_.checkpoint.attest_accept, [this, attestation, digest] {
+  cpu_.Submit(cost::kCkptAttestationCheck, [this, attestation, digest] {
     if (!running_) return;
     if (sealed_ckpt_ == nullptr || sealed_ckpt_->digest != digest) return;
     if (attested_ckpt_ != nullptr && attested_ckpt_->digest == digest) return;

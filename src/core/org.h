@@ -17,6 +17,7 @@
 #include "core/messages.h"
 #include "core/policy.h"
 #include "ledger/ledger.h"
+#include "sim/costs.h"
 #include "sim/network.h"
 #include "sim/processor.h"
 
@@ -67,18 +68,6 @@ struct CheckpointConfig {
   /// (a checkpoint that moves the frontier by almost nothing isn't worth
   /// its snapshot bytes).
   std::uint64_t min_new_commits = 4;
-  /// Service-time model for sealing (snapshot encode + sign) and installing
-  /// (verify + merge), charged on the CPU / cache-lock queues.
-  sim::SimTime seal_base = sim::Us(200);
-  sim::SimTime seal_per_tx = sim::Us(2);
-  sim::SimTime install_base = sim::Us(120);
-  sim::SimTime install_per_object = sim::Us(25);
-  /// Attestation service times: verifying an announced checkpoint against
-  /// local state (seal check + per-object dominance merge) and checking one
-  /// incoming attestation signature (sealer and installer side).
-  sim::SimTime attest_verify_base = sim::Us(150);
-  sim::SimTime attest_verify_per_object = sim::Us(20);
-  sim::SimTime attest_accept = sim::Us(20);
 };
 
 /// Checkpoint / catch-up counters. The chaos O(delta) heal assertions key on
@@ -125,23 +114,12 @@ struct CatchupStats {
 };
 static_assert(ListsEveryCounter<CatchupStats>());
 
-/// CPU / storage cost model, calibrated so a 4-vCPU organization saturates
-/// where the paper's does (Fig. 6/7 knees).
+/// An organization's protocol timers and layers. Its CPU service times are
+/// rows of the cost table (sim/costs.h); only the two base costs are
+/// settable, so a bench can move the saturation knee.
 struct OrgTimingConfig {
-  unsigned cores = 4;
-  sim::SimTime endorse_base = sim::Us(180);
-  sim::SimTime endorse_per_op = sim::Us(30);
-  sim::SimTime read_base = sim::Us(60);
-  sim::SimTime read_per_object = sim::Us(30);
-  sim::SimTime commit_base = sim::Us(60);
-  sim::SimTime commit_per_sig = sim::Us(160);   // endorsement verification
-  sim::SimTime dedup_check = sim::Us(10);
-  // The CRDT cache applies modifications under one lock (paper §9's noted
-  // bottleneck) — modeled as a single-server queue.
-  sim::SimTime cache_apply_base = sim::Us(20);
-  sim::SimTime cache_apply_per_op = sim::Us(25);
-  sim::SimTime cache_read_base = sim::Us(10);
-  sim::SimTime cache_read_per_object = sim::Us(10);
+  sim::SimTime endorse_base = sim::cost::kOrgEndorseBase;
+  sim::SimTime commit_base = sim::cost::kOrgCommitBase;
   sim::SimTime gossip_interval = sim::Sec(1);
   std::uint32_t gossip_fanout = 1;   // "Gossip Ratio" control variable
   std::uint32_t gossip_rounds = 3;   // ticks each tx keeps being pushed

@@ -1,5 +1,7 @@
 #include "fabric/orderer.h"
 
+#include "sim/costs.h"
+
 namespace orderless::fabric {
 
 Orderer::Orderer(sim::Simulation& simulation, sim::Network& network,
@@ -8,7 +10,7 @@ Orderer::Orderer(sim::Simulation& simulation, sim::Network& network,
       network_(network),
       node_(node),
       config_(config),
-      cpu_(simulation, 1) {}
+      cpu_(simulation, sim::cost::kSequencerCores) {}
 
 void Orderer::Start() {
   network_.Register(node_, [this](const sim::Delivery& d) { OnDelivery(d); });
@@ -20,7 +22,7 @@ void Orderer::OnDelivery(const sim::Delivery& delivery) {
   if (order == nullptr) return;
   // Sequencing cost: the single ordering core is the system's choke point.
   auto tx = order->tx;
-  cpu_.Submit(config_.per_tx_cost, [this, tx] { EnqueueOrdered(tx); });
+  cpu_.Submit(sim::cost::kOrdererPerTx, [this, tx] { EnqueueOrdered(tx); });
 }
 
 void Orderer::EnqueueOrdered(std::shared_ptr<const FabTransaction> tx) {
@@ -50,7 +52,7 @@ void Orderer::CutBlock() {
   pending_.clear();
   timeout_armed_ = false;
 
-  simulation_.Schedule(config_.block_overhead, [this, block] {
+  simulation_.Schedule(sim::cost::kOrdererBlockCut, [this, block] {
     auto msg = std::make_shared<FabBlockMsg>();
     msg->block = block;
     for (sim::NodeId peer : peers_) {

@@ -14,11 +14,11 @@
 
 namespace orderless::fabric {
 
+/// Block cutting; the ordering cost is a row of the cost table
+/// (sim/costs.h).
 struct OrdererConfig {
-  sim::SimTime per_tx_cost = sim::Us(1000);  // solo ordering, one core
   std::size_t block_size = 100;
   sim::SimTime block_timeout = sim::Ms(500);
-  sim::SimTime block_overhead = sim::Ms(5);
 };
 
 class Orderer {

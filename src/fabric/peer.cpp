@@ -3,8 +3,11 @@
 #include <vector>
 
 #include "crdt/object.h"
+#include "sim/costs.h"
 
 namespace orderless::fabric {
+
+namespace cost = sim::cost;
 
 Peer::Peer(sim::Simulation& simulation, sim::Network& network,
            sim::NodeId node, crypto::PrivateKey key,
@@ -15,7 +18,7 @@ Peer::Peer(sim::Simulation& simulation, sim::Network& network,
       key_(key),
       contracts_(contracts),
       config_(config),
-      cpu_(simulation, config.cores) {}
+      cpu_(simulation, cost::kNodeCores) {}
 
 void Peer::Start() {
   network_.Register(node_, [this](const sim::Delivery& d) { OnDelivery(d); });
@@ -37,9 +40,8 @@ void Peer::OnDelivery(const sim::Delivery& delivery) {
 
 void Peer::HandleProposal(sim::NodeId from, const FabProposal& proposal) {
   const sim::SimTime arrival = simulation_.now();
-  const sim::SimTime service =
-      config_.endorse_base;  // execution happens at dequeue time
-  cpu_.Submit(service, [this, from, proposal, arrival] {
+  // Execution happens at dequeue time.
+  cpu_.Submit(cost::kFabricEndorse, [this, from, proposal, arrival] {
     ++endorse_count_;
     endorse_time_us_ += simulation_.now() - arrival;
     auto reply = std::make_shared<FabEndorseReplyMsg>();
@@ -82,30 +84,33 @@ void Peer::HandleProposal(sim::NodeId from, const FabProposal& proposal) {
 }
 
 void Peer::HandleBlock(std::shared_ptr<const FabBlock> block) {
-  // Validation cost: per-transaction read checks plus writes.
-  sim::SimTime service = config_.commit_base;
+  // Validation cost: per-transaction signature and read checks plus writes.
+  sim::SimTime service = cost::kFabricValidateBase;
   sim::SimTime read_checks = 0;
   for (const auto& tx : block->txs) {
-    read_checks += config_.commit_per_read_check * tx->rwset.reads.size();
-    service += config_.commit_per_write * tx->rwset.writes.size();
+    service += cost::kFabricVerifySig * (tx->endorsement_count + 1);
+    read_checks += cost::kFabricReadCheck * tx->rwset.reads.size();
+    service += cost::kFabricWrite * tx->rwset.writes.size();
     if (config_.mode == ValidationMode::kCrdtMerge) {
-      service += config_.merge_per_kb * (tx->rwset.WireSize() / 1024 + 1);
+      service +=
+          cost::kFabricCrdtMergePerKb * (tx->rwset.WireSize() / 1024 + 1);
     }
   }
-  if (config_.mode == ValidationMode::kMvcc && config_.cores > 1) {
+  if (config_.mode == ValidationMode::kMvcc) {
     // Lockless committer: read-set checks never mutate the version table,
     // so the block's checks fan out across the peer's cores; only the
     // serial write-apply keeps its full cost. Pure integer arithmetic —
     // deterministic for any core count.
-    service += (read_checks + config_.cores - 1) / config_.cores;
+    service += (read_checks + cost::kNodeCores - 1) / cost::kNodeCores;
   } else {
     service += read_checks;
   }
-  cpu_.Submit(service, [this, block] { CommitBlock(*block); });
+  const sim::SimTime arrival = simulation_.now();
+  cpu_.Submit(service,
+              [this, block, arrival] { CommitBlock(*block, arrival); });
 }
 
-void Peer::CommitBlock(const FabBlock& block) {
-  ++blocks_seen_;
+void Peer::CommitBlock(const FabBlock& block, sim::SimTime arrival) {
   // Phase 1 (MVCC only) — lockless read-set validation: every transaction's
   // reads are checked against the committed version table plus a
   // block-local write shadow holding the version bumps of earlier *valid*
@@ -133,6 +138,9 @@ void Peer::CommitBlock(const FabBlock& block) {
       }
     }
   }
+  // Table 3's commit phase: block arrival to its transactions committed.
+  commit_count_ += block.txs.size();
+  commit_time_us_ += (simulation_.now() - arrival) * block.txs.size();
   // Phase 2 — apply the valid transactions' writes serially in block order.
   for (std::size_t i = 0; i < block.txs.size(); ++i) {
     const auto& tx = block.txs[i];

@@ -18,21 +18,13 @@ enum class ValidationMode {
   kCrdtMerge,  // FabricCRDT: merge JSON-CRDT values, nothing is rejected
 };
 
+/// A peer's service times are rows of the cost table (sim/costs.h).
 struct PeerConfig {
-  unsigned cores = 4;
-  sim::SimTime endorse_base = sim::Us(250);
-  sim::SimTime read_base = sim::Us(120);
-  sim::SimTime commit_per_read_check = sim::Us(15);
-  sim::SimTime commit_per_write = sim::Us(40);
-  sim::SimTime commit_base = sim::Us(80);
-  /// CRDT-merge cost per byte of merged object state (FabricCRDT's
-  ///"objects gradually become large" bottleneck).
-  sim::SimTime merge_per_kb = sim::Us(160);
   /// MVCC read-set validation is lockless ("Lockless Transaction Isolation
   /// in Hyperledger Fabric"): the committer checks a block's read sets
   /// against the version table without taking the state lock, so the
-  /// checks spread across `cores`; writes still apply serially in block
-  /// order, and verdicts equal the serial committer's (two-phase
+  /// checks spread across the peer's cores; writes still apply serially in
+  /// block order, and verdicts equal the serial committer's (two-phase
   /// validate-then-apply with a block-local write shadow).
   ValidationMode mode = ValidationMode::kMvcc;
   /// Index of the peer that runs the client event service.
@@ -52,7 +44,6 @@ class Peer {
   const VersionedStore& state() const { return state_; }
   std::uint64_t committed_valid() const { return committed_valid_; }
   std::uint64_t committed_invalid() const { return committed_invalid_; }
-  std::uint64_t blocks_seen() const { return blocks_seen_; }
 
   /// Phase instrumentation backing Table 3.
   double AvgEndorseMs() const {
@@ -64,12 +55,17 @@ class Peer {
                ? 0.0
                : consensus_time_us_ / 1000.0 / consensus_count_;
   }
+  double AvgCommitMs() const {
+    return commit_count_ == 0 ? 0.0
+                              : commit_time_us_ / 1000.0 / commit_count_;
+  }
 
  private:
   void OnDelivery(const sim::Delivery& delivery);
   void HandleProposal(sim::NodeId from, const FabProposal& proposal);
   void HandleBlock(std::shared_ptr<const FabBlock> block);
-  void CommitBlock(const FabBlock& block);
+  /// Validates and commits `block`, which arrived at `arrival`.
+  void CommitBlock(const FabBlock& block, sim::SimTime arrival);
   /// Applies one FabricCRDT merge transaction (never rejected).
   bool ApplyTransaction(const FabTransaction& tx);
 
@@ -84,11 +80,12 @@ class Peer {
   VersionedStore state_;
   std::uint64_t committed_valid_ = 0;
   std::uint64_t committed_invalid_ = 0;
-  std::uint64_t blocks_seen_ = 0;
   std::uint64_t endorse_count_ = 0;
   std::uint64_t endorse_time_us_ = 0;
   std::uint64_t consensus_count_ = 0;
   std::uint64_t consensus_time_us_ = 0;
+  std::uint64_t commit_count_ = 0;
+  std::uint64_t commit_time_us_ = 0;
 };
 
 }  // namespace orderless::fabric

@@ -289,18 +289,22 @@ class FabricDriver final : public NetDriver<fabric::FabricNet> {
 
   PhaseBreakdown Breakdown() const override {
     auto& net = *net_;
-    double endorse = 0;
-    std::size_t n = 0;
+    double endorse = 0, commit = 0;
+    std::size_t endorsers = 0, committers = 0;
     for (std::size_t i = 0; i < net.peer_count(); ++i) {
       if (net.peer(i).AvgEndorseMs() > 0) {
         endorse += net.peer(i).AvgEndorseMs();
-        ++n;
+        ++endorsers;
+      }
+      if (net.peer(i).AvgCommitMs() > 0) {
+        commit += net.peer(i).AvgCommitMs();
+        ++committers;
       }
     }
     PhaseBreakdown b;
-    b.phases = {{"P1/Endorse", n > 0 ? endorse / n : 0.0},
+    b.phases = {{"P1/Endorse", endorsers > 0 ? endorse / endorsers : 0.0},
                 {"P2/Consensus", net.peer(0).AvgConsensusMs()},
-                {"P3/Commit", 0.5}};
+                {"P3/Commit", committers > 0 ? commit / committers : 0.0}};
     return b;
   }
 };
@@ -319,12 +323,14 @@ class BidlDriver final : public NetDriver<ordered::BidlNet> {
 
   PhaseBreakdown Breakdown() const override {
     auto& net = *net_;
-    double sequence = 0, consensus = 0;
+    double sequence = 0, consensus = 0, execution = 0, commit = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net.org_count(); ++i) {
       if (net.org(i).AvgSequenceMs() > 0) {
         sequence += net.org(i).AvgSequenceMs();
         consensus += net.org(i).AvgConsensusMs();
+        execution += net.org(i).AvgExecutionMs();
+        commit += net.org(i).AvgCommitMs();
         ++n;
       }
     }
@@ -332,8 +338,8 @@ class BidlDriver final : public NetDriver<ordered::BidlNet> {
     if (n > 0) {
       b.phases = {{"P1/Sequence", sequence / n},
                   {"P2/Consensus", consensus / n},
-                  {"P3/Execution", 0.1},
-                  {"P4/Commit", 0.05}};
+                  {"P3/Execution", execution / n},
+                  {"P4/Commit", commit / n}};
     }
     return b;
   }
@@ -353,17 +359,19 @@ class HsDriver final : public NetDriver<ordered::HsNet> {
 
   PhaseBreakdown Breakdown() const override {
     auto& net = *net_;
-    double consensus = 0;
+    double consensus = 0, commit = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < net.org_count(); ++i) {
       if (net.org(i).AvgConsensusMs() > 0) {
         consensus += net.org(i).AvgConsensusMs();
+        commit += net.org(i).AvgCommitMs();
         ++n;
       }
     }
     PhaseBreakdown b;
     if (n > 0) {
-      b.phases = {{"P1/Consensus", consensus / n}, {"P2/Commit", 0.1}};
+      b.phases = {{"P1/Consensus", consensus / n},
+                  {"P2/Commit", commit / n}};
     }
     return b;
   }
@@ -505,9 +513,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
 AveragedPoint RunAveraged(ExperimentConfig config, int reps) {
   std::vector<double> tps, mavg, mp1, mp99, ravg, rp1, rp99, cavg, fail;
+  AveragedPoint p;
   for (int rep = 0; rep < reps; ++rep) {
     config.seed = config.seed * 31 + static_cast<std::uint64_t>(rep) + 1;
     const ExperimentResult r = RunExperiment(config);
+    p.events_processed += r.events_processed;
     tps.push_back(r.metrics.ThroughputTps());
     mavg.push_back(r.metrics.modify_latency.AverageMs());
     mp1.push_back(r.metrics.modify_latency.PercentileMs(1));
@@ -520,7 +530,6 @@ AveragedPoint RunAveraged(ExperimentConfig config, int reps) {
         static_cast<double>(r.metrics.submitted == 0 ? 1 : r.metrics.submitted);
     fail.push_back(static_cast<double>(r.metrics.failed) / denom);
   }
-  AveragedPoint p;
   p.throughput_tps = Mean(tps);
   p.modify_avg_ms = Mean(mavg);
   p.modify_p1_ms = Mean(mp1);

@@ -118,6 +118,7 @@ struct AveragedPoint {
   double read_avg_ms = 0, read_p1_ms = 0, read_p99_ms = 0;
   double combined_avg_ms = 0;
   double failed_fraction = 0;
+  std::uint64_t events_processed = 0;  // summed over the runs
 };
 AveragedPoint RunAveraged(ExperimentConfig config, int reps);
 

@@ -132,9 +132,9 @@ std::string RenderReportText(const RunReport& report, ReportMode mode);
 std::string ReportJson(const RunReport& report);
 bool WriteReportJson(const RunReport& report, const std::string& path);
 
-/// One-line event render identical in shape to Tracer::Render, but
-/// usable on re-parsed buffers (chaos-triage tail dumps route through
-/// this so live and offline triage read the same).
+/// One-line event render for terminal dumps, usable on live and
+/// re-parsed buffers alike (chaos-triage tail dumps route through this so
+/// live and offline triage read the same).
 std::string RenderEventLine(const TraceEvent& event, const ActorNames& names);
 
 /// Multi-line per-transaction critical-path breakdown (chaos triage and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <limits>
 
 namespace orderless::obs {
@@ -204,19 +203,6 @@ std::vector<TraceEvent> Tracer::Tail(std::size_t n) const {
   return std::vector<TraceEvent>(events_.begin() +
                                      static_cast<std::ptrdiff_t>(start),
                                  events_.end());
-}
-
-std::string Tracer::Render(const TraceEvent& event) const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "%10.3fms %-14s %-10s tx=%016llx aux=%llu dur=%lluus",
-                sim::ToMs(event.ts),
-                std::string(EventKindName(event.kind)).c_str(),
-                ActorName(event.actor).c_str(),
-                static_cast<unsigned long long>(event.tx),
-                static_cast<unsigned long long>(event.aux),
-                static_cast<unsigned long long>(event.dur));
-  return buf;
 }
 
 void Tracer::Clear() {

@@ -199,9 +199,6 @@ class Tracer {
   /// The last `n` events in record order (chaos-triage tail dump).
   std::vector<TraceEvent> Tail(std::size_t n) const;
 
-  /// One-line render of an event for terminal dumps.
-  std::string Render(const TraceEvent& event) const;
-
   void Clear();
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/costs.h"
+
 namespace orderless::ordered {
 
 namespace {
@@ -12,9 +14,10 @@ constexpr std::size_t kTxWireSize = 220;  // compact datacenter wire format
 // ------------------------------------------------------------- sequencer
 
 BidlSequencer::BidlSequencer(sim::Simulation& simulation,
-                             sim::Network& network, sim::NodeId node,
-                             BidlConfig config)
-    : network_(network), node_(node), config_(config), cpu_(simulation, 1) {}
+                             sim::Network& network, sim::NodeId node)
+    : network_(network),
+      node_(node),
+      cpu_(simulation, sim::cost::kSequencerCores) {}
 
 void BidlSequencer::Start() {
   network_.Register(node_, [this](const sim::Delivery& d) { OnDelivery(d); });
@@ -25,7 +28,7 @@ void BidlSequencer::OnDelivery(const sim::Delivery& delivery) {
   const auto* msg = dynamic_cast<const TxMsg*>(delivery.message.get());
   if (msg == nullptr) return;
   auto tx = msg->tx;
-  cpu_.Submit(config_.sequencer_per_tx, [this, tx] {
+  cpu_.Submit(sim::cost::kBidlSequencePerTx, [this, tx] {
     const std::uint64_t seq = next_seq_++;
     // Multicast to every organization: the per-organization egress copies
     // are what saturate the sequencer uplink in a WAN (paper §9).
@@ -44,8 +47,7 @@ BidlOrg::BidlOrg(sim::Simulation& simulation, sim::Network& network,
                  sim::NodeId node,
                  const fabric::FabricContractRegistry& contracts,
                  bool is_leader, BidlConfig config)
-    : Replica(simulation, network, node, contracts, config.org_cores,
-              config.exec_per_tx),
+    : Replica(simulation, network, node, contracts),
       is_leader_(is_leader),
       config_(config) {}
 
@@ -92,9 +94,7 @@ void BidlOrg::OnDelivery(const sim::Delivery& delivery) {
           dynamic_cast<const BidlVoteMsg*>(delivery.message.get())) {
     if (!is_leader_ || round_proposed_ == 0) return;
     round_votes_.push_back(vote->contiguous_max);
-    // PBFT-style quorum: 2f+1 of n = 3f+1 organizations.
-    const std::size_t n = orgs_.size();
-    const std::size_t quorum = n - (n - 1) / 3;
+    const std::size_t quorum = Quorum();
     if (round_votes_.size() >= quorum) {
       std::sort(round_votes_.begin(), round_votes_.end(),
                 std::greater<std::uint64_t>());
@@ -153,11 +153,15 @@ void BidlOrg::CommitUpTo(std::uint64_t up_to) {
     committed_up_to_ = seq;
   }
   if (batch.empty()) return;
-  const sim::SimTime service =
-      config_.exec_per_tx * static_cast<sim::SimTime>(batch.size());
-  cpu_.Submit(service, [this, batch = std::move(batch)] {
+  const sim::SimTime agreed = simulation_.now();
+  const sim::SimTime service = ExecuteService(batch.size(), Quorum());
+  cpu_.Submit(service, [this, agreed, batch = std::move(batch)] {
     for (const auto& tx : batch) {
+      const sim::SimTime executed = simulation_.now();
       if (!ExecuteThenConfirm(*tx)) continue;
+      ++confirm_count_;
+      exec_time_us_ += executed - agreed;
+      commit_time_us_ += simulation_.now() - executed;
       // Consensus phase: from sequencer delivery to committed execution.
       for (auto it = seq_arrival_.begin();
            it != seq_arrival_.end() && it->first <= committed_up_to_;
@@ -174,7 +178,7 @@ BidlNet::BidlNet(BidlNetConfig config) : config_(config), rng_(config.seed) {
   network_ = std::make_unique<sim::Network>(simulation_, config_.net,
                                             rng_.Fork());
   sequencer_ = std::make_unique<BidlSequencer>(simulation_, *network_,
-                                               kSequencerNode, config_.bidl);
+                                               kSequencerNode);
   std::vector<sim::NodeId> org_nodes;
   for (std::uint32_t i = 0; i < config_.num_orgs; ++i) {
     const sim::NodeId node = static_cast<sim::NodeId>(1 + i);

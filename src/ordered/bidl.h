@@ -38,17 +38,16 @@ struct BidlCommitMsg final : sim::Message {
   std::size_t WireSize() const override { return 72; }
 };
 
+/// Consensus cadence; service times are rows of the cost table
+/// (sim/costs.h).
 struct BidlConfig {
-  sim::SimTime sequencer_per_tx = sim::Us(120);
-  sim::SimTime exec_per_tx = sim::Us(100);
   sim::SimTime consensus_interval = sim::Ms(250);
-  unsigned org_cores = 4;
 };
 
 class BidlSequencer {
  public:
   BidlSequencer(sim::Simulation& simulation, sim::Network& network,
-                sim::NodeId node, BidlConfig config);
+                sim::NodeId node);
   void Start();
   void SetOrgs(std::vector<sim::NodeId> orgs) { orgs_ = std::move(orgs); }
   std::uint64_t sequenced() const { return next_seq_ - 1; }
@@ -58,7 +57,6 @@ class BidlSequencer {
 
   sim::Network& network_;
   sim::NodeId node_;
-  BidlConfig config_;
   sim::Processor cpu_;
   std::vector<sim::NodeId> orgs_;
   std::uint64_t next_seq_ = 1;
@@ -82,12 +80,22 @@ class BidlOrg : public Replica {
                ? 0.0
                : consensus_time_us_ / 1000.0 / phase_count_;
   }
+  double AvgExecutionMs() const {
+    return confirm_count_ == 0 ? 0.0
+                               : exec_time_us_ / 1000.0 / confirm_count_;
+  }
+  double AvgCommitMs() const {
+    return confirm_count_ == 0 ? 0.0
+                               : commit_time_us_ / 1000.0 / confirm_count_;
+  }
 
  private:
   void OnDelivery(const sim::Delivery& delivery);
   void ConsensusTick();
   void CommitUpTo(std::uint64_t up_to);
   std::uint64_t ContiguousMax() const;
+  /// PBFT-style quorum: 2f+1 of n = 3f+1 organizations.
+  std::size_t Quorum() const { return orgs_.size() - (orgs_.size() - 1) / 3; }
 
   bool is_leader_;
   BidlConfig config_;
@@ -97,6 +105,11 @@ class BidlOrg : public Replica {
   std::uint64_t phase_count_ = 0;
   std::uint64_t seq_time_us_ = 0;
   std::uint64_t consensus_time_us_ = 0;
+  // Execution (agreed → executed) and commit (executed → confirm sent)
+  // phases, over the transactions this org confirms.
+  std::uint64_t confirm_count_ = 0;
+  std::uint64_t exec_time_us_ = 0;
+  std::uint64_t commit_time_us_ = 0;
   std::uint64_t committed_up_to_ = 0;
   // Leader consensus round state.
   std::uint64_t round_proposed_ = 0;

@@ -2,6 +2,7 @@
 
 #include "codec/codec.h"
 #include "crypto/sha256.h"
+#include "sim/costs.h"
 
 namespace orderless::ordered {
 
@@ -143,17 +144,21 @@ std::vector<std::unique_ptr<Client>> MakeClients(
 
 Replica::Replica(sim::Simulation& simulation, sim::Network& network,
                  sim::NodeId node,
-                 const fabric::FabricContractRegistry& contracts,
-                 unsigned cores, sim::SimTime exec_per_tx)
+                 const fabric::FabricContractRegistry& contracts)
     : simulation_(simulation),
       network_(network),
       node_(node),
-      cpu_(simulation, cores),
-      contracts_(contracts),
-      exec_per_tx_(exec_per_tx) {}
+      cpu_(simulation, sim::cost::kNodeCores),
+      contracts_(contracts) {}
+
+sim::SimTime Replica::ExecuteService(std::size_t txs, std::size_t votes) {
+  return (sim::cost::kExecPerTx + sim::cost::kOrderedVerifyClientSig) *
+             static_cast<sim::SimTime>(txs) +
+         sim::cost::kOrderedVerifyVote * static_cast<sim::SimTime>(votes);
+}
 
 void Replica::ServeRead(const ReadMsg& read, sim::NodeId from) {
-  cpu_.Submit(exec_per_tx_, [this, req = read, from] {
+  cpu_.Submit(sim::cost::kExecPerTx, [this, req = read, from] {
     auto reply = std::make_shared<ReadReplyMsg>();
     reply->id = req.id;
     const fabric::FabricContract* contract = contracts_.Find(req.contract);

@@ -111,7 +111,8 @@ std::vector<std::unique_ptr<Client>> MakeClients(
 
 /// The execution side every order-execute organization shares: its
 /// contracts, world state, cores and the organization directory that names
-/// each client's assigned organization.
+/// each client's assigned organization. Service times are rows of the cost
+/// table (sim/costs.h).
 class Replica {
  public:
   Replica(const Replica&) = delete;
@@ -122,8 +123,11 @@ class Replica {
 
  protected:
   Replica(sim::Simulation& simulation, sim::Network& network,
-          sim::NodeId node, const fabric::FabricContractRegistry& contracts,
-          unsigned cores, sim::SimTime exec_per_tx);
+          sim::NodeId node, const fabric::FabricContractRegistry& contracts);
+
+  /// Service time of executing `txs` ordered transactions whose order a
+  /// quorum of `votes` decided.
+  static sim::SimTime ExecuteService(std::size_t txs, std::size_t votes);
 
   /// Whether this organization serves and confirms `client`.
   bool AssignedTo(std::uint64_t client) const {
@@ -144,7 +148,6 @@ class Replica {
 
  private:
   const fabric::FabricContractRegistry& contracts_;
-  sim::SimTime exec_per_tx_;
   fabric::VersionedStore state_;
 };
 

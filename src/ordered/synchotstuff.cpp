@@ -2,11 +2,17 @@
 
 #include <algorithm>
 
+#include "sim/costs.h"
+
 namespace orderless::ordered {
 
 namespace {
 constexpr sim::NodeId kLeaderNode = 700;
 constexpr std::size_t kTxWireSize = 400;
+
+/// Votes that decide a block among `orgs` organizations: n − f with
+/// f < n/2 for Sync HotStuff.
+std::size_t Quorum(std::size_t orgs) { return orgs - (orgs - 1) / 2; }
 }  // namespace
 
 // --------------------------------------------------------------- leader
@@ -17,7 +23,7 @@ HsLeader::HsLeader(sim::Simulation& simulation, sim::Network& network,
       network_(network),
       node_(node),
       config_(config),
-      cpu_(simulation, config.cores) {}
+      cpu_(simulation, sim::cost::kNodeCores) {}
 
 void HsLeader::Start() {
   network_.Register(node_, [this](const sim::Delivery& d) { OnDelivery(d); });
@@ -28,7 +34,7 @@ void HsLeader::OnDelivery(const sim::Delivery& delivery) {
   if (delivery.corrupted) return;
   if (const auto* msg = dynamic_cast<const TxMsg*>(delivery.message.get())) {
     auto tx = msg->tx;
-    cpu_.Submit(config_.leader_per_tx,
+    cpu_.Submit(sim::cost::kHsLeaderPerTx,
                 [this, tx] { mempool_.push_back(tx); });
     return;
   }
@@ -40,9 +46,7 @@ void HsLeader::OnDelivery(const sim::Delivery& delivery) {
     ++round.votes;
     // Synchronous BFT: wait for n-f votes, then the 2Δ synchronous delay
     // before committing.
-    const std::size_t n = orgs_.size();
-    const std::size_t needed = n - (n - 1) / 2;  // f < n/2 for Sync HotStuff
-    if (round.votes >= needed) {
+    if (round.votes >= Quorum(orgs_.size())) {
       round.committed = true;
       const std::uint64_t number = vote->block_number;
       simulation_.Schedule(2 * config_.delta, [this, number] {
@@ -60,7 +64,8 @@ void HsLeader::RoundTick() {
   if (!mempool_.empty()) {
     auto block = std::make_shared<HsBlock>();
     block->number = next_block_++;
-    const std::size_t take = std::min(mempool_.size(), config_.max_block_txs);
+    const std::size_t take =
+        std::min(mempool_.size(), sim::cost::kHsMaxBlockTxs);
     block->txs.assign(mempool_.begin(),
                       mempool_.begin() + static_cast<std::ptrdiff_t>(take));
     mempool_.erase(mempool_.begin(),
@@ -79,11 +84,8 @@ void HsLeader::RoundTick() {
 
 HsOrg::HsOrg(sim::Simulation& simulation, sim::Network& network,
              sim::NodeId node, const fabric::FabricContractRegistry& contracts,
-             sim::NodeId leader, HsConfig config)
-    : Replica(simulation, network, node, contracts, config.cores,
-              config.exec_per_tx),
-      leader_(leader),
-      config_(config) {}
+             sim::NodeId leader)
+    : Replica(simulation, network, node, contracts), leader_(leader) {}
 
 void HsOrg::Start() {
   network_.Register(node_, [this](const sim::Delivery& d) { OnDelivery(d); });
@@ -105,9 +107,11 @@ void HsOrg::OnDelivery(const sim::Delivery& delivery) {
     if (it == pending_blocks_.end()) return;
     auto block = it->second;
     pending_blocks_.erase(it);
+    const sim::SimTime decided = simulation_.now();
     const sim::SimTime service =
-        config_.exec_per_tx * static_cast<sim::SimTime>(block->txs.size());
-    cpu_.Submit(service, [this, block] { ExecuteBlock(*block); });
+        ExecuteService(block->txs.size(), Quorum(orgs_.size()));
+    cpu_.Submit(service,
+                [this, block, decided] { ExecuteBlock(*block, decided); });
     return;
   }
   if (const auto* read = dynamic_cast<const ReadMsg*>(delivery.message.get())) {
@@ -116,12 +120,13 @@ void HsOrg::OnDelivery(const sim::Delivery& delivery) {
   }
 }
 
-void HsOrg::ExecuteBlock(const HsBlock& block) {
+void HsOrg::ExecuteBlock(const HsBlock& block, sim::SimTime decided) {
   ++committed_blocks_;
   for (const auto& tx : block.txs) {
     if (ExecuteThenConfirm(*tx) && tx->submitted_at > 0) {
       ++phase_count_;
       consensus_time_us_ += simulation_.now() - tx->submitted_at;
+      commit_time_us_ += simulation_.now() - decided;
     }
   }
 }
@@ -138,8 +143,7 @@ HsNet::HsNet(HsNetConfig config) : config_(config), rng_(config.seed) {
     const sim::NodeId node = static_cast<sim::NodeId>(1 + i);
     org_nodes.push_back(node);
     orgs_.push_back(std::make_unique<HsOrg>(simulation_, *network_, node,
-                                            contracts_, kLeaderNode,
-                                            config_.hs));
+                                            contracts_, kLeaderNode));
   }
   leader_->SetOrgs(org_nodes);
   for (auto& org : orgs_) org->SetOrgs(org_nodes);

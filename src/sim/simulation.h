@@ -236,14 +236,12 @@ class Simulation {
   ActorId ActorOf(NodeId node) const {
     return node < actor_of_.size() ? actor_of_[node] : 0;
   }
-  std::size_t actor_count() const { return lanes_.size(); }
 
   /// Lower-bounds the conservative lookahead: the minimum cross-actor
   /// one-way delay. sim::Network calls this with its configured latency;
   /// the effective lookahead is the minimum over all proposals. Zero (no
   /// proposal) disables parallel execution.
   void ProposeLookahead(SimTime delay);
-  SimTime lookahead() const { return lookahead_; }
 
   /// True when RunUntil/RunUntilIdle will take the epoch-parallel path.
   bool parallel() const {

@@ -478,7 +478,8 @@ TEST(HsNet, StateConvergesAcrossOrgs) {
 
 TEST(Harness, RunExperimentAllSystems) {
   // Every system's simulated result, pinned exactly: a refactor that moves
-  // any send, timer or RNG draw of a system changes at least one of these.
+  // any send, timer or RNG draw of a system changes at least one of these,
+  // and a cost-table drift that moves one Table 3 phase changes its row.
   struct Pinned {
     harness::SystemKind system;
     std::uint64_t events_processed;
@@ -486,13 +487,28 @@ TEST(Harness, RunExperimentAllSystems) {
     std::uint64_t committed_read;
     std::uint64_t failed;
     std::uint64_t combined_latency_sum_us;
+    std::vector<std::pair<std::string, double>> phases;  // ms
   };
   const Pinned pinned[] = {
-      {harness::SystemKind::kOrderless, 1865, 52, 48, 0, 15888611},
-      {harness::SystemKind::kFabric, 996, 46, 48, 6, 30599509},
-      {harness::SystemKind::kFabricCrdt, 996, 52, 48, 0, 33669522},
-      {harness::SystemKind::kBidl, 765, 52, 48, 0, 27511171},
-      {harness::SystemKind::kSyncHotStuff, 704, 52, 48, 0, 33070156},
+      {harness::SystemKind::kOrderless, 1865, 52, 48, 0, 15888611,
+       {{"P1/Execution", 0.14393142276422766},
+        {"P2/Commit", 1.6014519230769229}}},
+      {harness::SystemKind::kFabric, 996, 46, 48, 6, 30599509,
+       {{"P1/Endorse", 0.25},
+        {"P2/Consensus", 391.03957692307694},
+        {"P3/Commit", 1.3180384615384615}}},
+      {harness::SystemKind::kFabricCrdt, 996, 52, 48, 0, 33669522,
+       {{"P1/Endorse", 0.25},
+        {"P2/Consensus", 394.87801923076921},
+        {"P3/Commit", 4.1236538461538466}}},
+      {harness::SystemKind::kBidl, 765, 52, 48, 0, 27511171,
+       {{"P1/Sequence", 103.66108888888888},
+        {"P2/Consensus", 276.55863611111113},
+        {"P3/Execution", 0.61444444444444446},
+        {"P4/Commit", 0.0}}},
+      {harness::SystemKind::kSyncHotStuff, 704, 52, 48, 0, 33070156,
+       {{"P1/Consensus", 488.03264999999999},
+        {"P2/Commit", 0.41222222222222227}}},
   };
   for (const Pinned& want : pinned) {
     SCOPED_TRACE(harness::SystemName(want.system));
@@ -514,7 +530,13 @@ TEST(Harness, RunExperimentAllSystems) {
     EXPECT_EQ(result.metrics.committed_read, want.committed_read);
     EXPECT_EQ(result.metrics.failed, want.failed);
     EXPECT_EQ(combined.sum_us(), want.combined_latency_sum_us);
-    EXPECT_FALSE(result.breakdown.phases.empty());
+    ASSERT_EQ(result.breakdown.phases.size(), want.phases.size());
+    for (std::size_t i = 0; i < want.phases.size(); ++i) {
+      EXPECT_EQ(result.breakdown.phases[i].first, want.phases[i].first);
+      EXPECT_DOUBLE_EQ(result.breakdown.phases[i].second,
+                       want.phases[i].second)
+          << want.phases[i].first;
+    }
   }
 }
 

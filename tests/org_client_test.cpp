@@ -494,9 +494,9 @@ TEST(Organization, InFlightDuplicateCommitAnswersEverySender) {
   }
   // The waiter is answered by the first copy's commit, one receipt's egress
   // time after the sender; a second validate-and-apply pass would hold the
-  // cache lock at least cache_apply_base longer.
+  // cache lock at least kOrgCacheApplyBase longer.
   EXPECT_LT(received_at[kSecondProbe] - received_at[kProbe],
-            config.org_timing.cache_apply_base);
+            sim::cost::kOrgCacheApplyBase);
 }
 
 TEST(Organization, AntiEntropyRepairsMissedDelivery) {
